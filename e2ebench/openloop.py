@@ -69,17 +69,20 @@ class PhaseReport:
         return second - first > slack
 
 
-def paced_schedule(rng: np.random.Generator, rates, durations, *,
-                   jitter: float = 0.5) -> list[tuple[int, float]]:
+#: the widest move of a send either way, as a share of the send interval
+JITTER = 0.25
+
+
+def paced_schedule(rng: np.random.Generator, rates, durations) -> list[tuple[int, float]]:
     """``(phase, offset)`` pairs, phases back to back: each phase sends at
     its fixed rate, every send moved by a seeded uniform jitter of up to
-    ``jitter`` of the interval either way (so sends keep their order)."""
+    ``JITTER`` of the interval either way (so sends keep their order)."""
     out = []
     start = 0.0
     for phase, (rate, duration) in enumerate(zip(rates, durations)):
         gap = 1.0 / rate
         count = int(duration * rate)
-        shifts = rng.uniform(-jitter / 2, jitter / 2, size=count)
+        shifts = rng.uniform(-JITTER, JITTER, size=count)
         out.extend((phase, start + (k + 0.5 + shifts[k]) * gap) for k in range(count))
         start += duration
     return out

@@ -2,13 +2,13 @@
 """End-to-end benchmark of the Gray-Scott compute -> MPI -> BP5 -> analysis
 pipeline. Run from the root of a source checkout::
 
-    python3 e2ebench/run.py --workload solve --seed 1 --seconds 12 --trace 0
+    python3 e2ebench/run.py --workload solve --seed 1 --seconds 20 --trace 0
 
 Workloads: solve, io_ranks2, serve_mix, virtual (see README.md). With
 ``--trace 0`` the end-to-end metrics are measured with no instrumentation;
 with ``--trace 1`` half the time is measured untraced and then a fixed
 amount of work runs with the layer spans of ``layers.py`` installed, giving
-the per-layer metrics. Every run first times ``--probes`` cold starts in
+the per-layer metrics. Every run first times ``PROBES`` cold starts in
 fresh processes for ``setup_s``.
 
 A readable report goes to standard output; its last line is one JSON
@@ -39,6 +39,8 @@ ROOT = HERE.parent
 SRC = ROOT / "src"
 WORKDIR = ROOT / ".e2ebench_work"
 WORKLOAD_NAMES = ("solve", "io_ranks2", "serve_mix", "virtual")
+#: fresh-process cold starts per run; ``setup_s`` is their median
+PROBES = 3
 
 #: bytes one cell update must move at least: read U and V, write both (f64)
 BYTES_PER_CELL_COMPUTED = 4 * 8
@@ -48,7 +50,6 @@ END_TO_END = (
     ("peak_rss_mb", "MB"),
     ("p50_ms", "ms"),
     ("tail_ms", "ms"),
-    ("mcell_steps_per_s", "Mcell/s"),
 )
 
 #: wall seconds are per rank and per unit of work of the traced pass;
@@ -100,6 +101,7 @@ PER_LAYER = (
     ("loadgen.lag_ms_p99", "ms"),
     ("serve.goodput_rps", "1/s"),
     ("serve.max_rate_rps", "1/s"),
+    ("mcell_steps_per_s", "Mcell/s"),
     ("io.speedup_2r", "ratio"),
     ("virtual.rank_steps_per_s", "1/s"),
     ("virtual.nic_rank_steps_per_s", "1/s"),
@@ -107,6 +109,7 @@ PER_LAYER = (
     ("setup.first_call_s", "s"),
     ("setup.service_start_s", "s"),
     ("host.ref_ms", "ms"),
+    ("unscaled.p50_ms", "ms"),
     ("trace_overhead", "ratio"),
     ("unattributed.share", "ratio"),
     ("fail_frac", "ratio"),
@@ -120,10 +123,8 @@ def parse_args(argv):
     parser.add_argument("--workload", required=True, choices=WORKLOAD_NAMES)
     parser.add_argument("--seed", type=int, default=0,
                         help="workload seed (taken modulo 2**31)")
-    parser.add_argument("--seconds", type=float, default=12.0)
+    parser.add_argument("--seconds", type=float, default=20.0)
     parser.add_argument("--trace", type=int, choices=(0, 1), default=0)
-    parser.add_argument("--probes", type=int, default=3,
-                        help="fresh-process cold starts timed for setup_s")
     parser.add_argument("--probe", action="store_true",
                         help="be one cold start: time import + first call, print JSON")
     return parser.parse_args(argv)
@@ -144,18 +145,22 @@ def probe(args, work: Path) -> None:
         done = time.perf_counter()
     finally:
         workload.close()
+    from host import reference_seconds
+
     print(json.dumps({"import_s": imported - started,
-                      "first_call_s": done - imported, **extra}))
+                      "first_call_s": done - imported,
+                      "ref_s": reference_seconds(), **extra}))
 
 
 def setup_probes(args) -> dict:
-    """Median import and first-call seconds over ``--probes`` cold starts;
-    ``setup_s`` scales each start to the nominal host speed (host.py)."""
-    from host import NOMINAL_S, reference_seconds
+    """Median import and first-call seconds over ``PROBES`` cold starts;
+    ``setup_s`` is the median of the cold starts, each scaled to the
+    nominal host speed by the reference reading its own process took right
+    after it (host.py)."""
+    from host import NOMINAL_S
 
-    runs, scaled = [], []
-    before = reference_seconds()
-    for _ in range(args.probes):
+    runs = []
+    for _ in range(PROBES):
         out = subprocess.run(
             [sys.executable, str(HERE / "run.py"), "--probe",
              "--workload", args.workload, "--seed", str(args.seed)],
@@ -164,12 +169,11 @@ def setup_probes(args) -> dict:
         if out.returncode != 0:
             raise RuntimeError(f"set-up probe failed:\n{out.stderr}")
         runs.append(json.loads(out.stdout.strip().splitlines()[-1]))
-        after = reference_seconds()
-        cold = runs[-1]["import_s"] + runs[-1]["first_call_s"]
-        scaled.append(cold * NOMINAL_S / ((before + after) / 2))
-        before = after
+    cold = [r["import_s"] + r["first_call_s"] for r in runs]
     setup = {k: statistics.median(r[k] for r in runs) for k in runs[0]}
-    setup["setup_s"] = statistics.median(scaled)
+    setup["unscaled_s"] = statistics.median(cold)
+    setup["setup_s"] = statistics.median(
+        c * NOMINAL_S / r["ref_s"] for c, r in zip(cold, runs))
     return setup
 
 
@@ -193,7 +197,6 @@ def end_to_end(m, setup) -> dict:
         "peak_rss_mb": peak_rss_mb(),
         "p50_ms": 1e3 * _median(m.latencies),
         "tail_ms": 1e3 * tail(m.latencies)[1],
-        "mcell_steps_per_s": m.mcell_steps_per_s,
     }
 
 
@@ -267,12 +270,14 @@ def per_layer(rec, traced, untraced, setup) -> dict:
             "serve.rejected", "serve.backlog_max", "loadgen.lag_ms_p99",
             "serve.goodput_rps", "serve.max_rate_rps", "io.speedup_2r",
             "virtual.rank_steps_per_s", "virtual.nic_rank_steps_per_s")},
+        "mcell_steps_per_s": untraced.mcell_steps_per_s,
         "serve.render_ms": 1e3 * ratio(rec.layer_self("serve.render"),
                                        rec.layer_calls("serve.render")),
         "setup.import_s": setup["import_s"],
         "setup.first_call_s": setup["first_call_s"],
         "setup.service_start_s": setup.get("service_start_s", 0.0),
         "host.ref_ms": 1e3 * _median(untraced.host_refs),
+        "unscaled.p50_ms": 1e3 * _median(untraced.raw),
         "trace_overhead": ratio(_median(_work(traced)), _median(_work(untraced))),
         "unattributed.share": 1.0 - ratio(attributed, traced.share_wall),
         "fail_frac": ratio(untraced.failed + traced.failed, attempted),
@@ -304,11 +309,14 @@ def bench(args, work: Path) -> dict:
             q, _ = tail(m.latencies)
             print(f"{args.workload}: {len(m.latencies)} timed operations, "
                   f"tail_ms is the {q:g}th percentile")
-            if m.host_refs:
-                print(f"host reference kernel {1e3 * _median(m.host_refs):.2f} ms "
-                      f"(nominal {1e3 * NOMINAL_S:g} ms); unscaled p50 "
-                      f"{1e3 * _median(m.raw):.1f} ms")
-            report("workload figures", m.extras, dict(PER_LAYER))
+            print(f"host reference kernel {1e3 * _median(m.host_refs):.2f} ms "
+                  f"(nominal {1e3 * NOMINAL_S:g} ms); unscaled "
+                  f"p50 {1e3 * _median(m.raw):.1f} ms, tail "
+                  f"{1e3 * tail(m.raw)[1]:.1f} ms, unscaled setup "
+                  f"{setup['unscaled_s']:.3f} s (kernel in the probes "
+                  f"{1e3 * setup['ref_s']:.2f} ms)")
+            report("workload figures", {"mcell_steps_per_s": m.mcell_steps_per_s, **m.extras},
+                   dict(PER_LAYER))
         else:
             untraced = workload.measure(args.seconds / 2)
             rec = SpanRecorder()

@@ -31,7 +31,7 @@ from pathlib import Path
 
 import numpy as np
 
-from host import NOMINAL_S, reference_seconds
+from host import NOMINAL_S, pin_to_one_cpu, reference_each_cpu, reference_seconds
 
 HERE = Path(__file__).resolve().parent
 EXPECTED = HERE / "expected.json"
@@ -56,12 +56,12 @@ def workers() -> int:
 class Measurement:
     """What one pass of a workload produced."""
 
-    #: wall seconds of each user operation, in order (serve: from due),
-    #: scaled to the nominal host speed for batch operations (host.py)
-    latencies: list[float] = field(default_factory=list)
-    #: the same, unscaled
+    #: wall seconds of each user operation, in order (serve: from due)
     raw: list[float] = field(default_factory=list)
-    #: reference-kernel seconds around each batch operation
+    #: the same, scaled to the nominal host speed (host.py): each batch
+    #: operation by the readings around it, serve by the run's median reading
+    latencies: list[float] = field(default_factory=list)
+    #: reference-kernel walls taken during the pass
     host_refs: list[float] = field(default_factory=list)
     attempted: int = 0
     failed: int = 0
@@ -83,7 +83,6 @@ class Measurement:
     def add(self, latency: float, ok: bool, host_ref: float | None = None) -> None:
         self.raw.append(latency)
         if host_ref is not None:
-            self.host_refs.append(host_ref)
             latency *= NOMINAL_S / host_ref
         self.latencies.append(latency)
         self.attempted += 1
@@ -92,14 +91,15 @@ class Measurement:
 
 def repeat(op, seconds: float, m: Measurement) -> None:
     """Run ``op() -> (wall, ok)`` until ``seconds`` have passed (at least
-    once), timing the host reference kernel between operations."""
+    once), timing the host reference kernel before, between and after the
+    operations; each operation is scaled by the mean of the two readings
+    around it."""
     deadline = time.perf_counter() + seconds
-    before = reference_seconds()
-    while not m.latencies or time.perf_counter() < deadline:
+    m.host_refs.append(reference_seconds())
+    while not m.raw or time.perf_counter() < deadline:
         wall, ok = op()
-        after = reference_seconds()
-        m.add(wall, ok, (before + after) / 2)
-        before = after
+        m.host_refs.append(reference_seconds())
+        m.add(wall, ok, (m.host_refs[-2] + m.host_refs[-1]) / 2)
 
 
 def _timed(fn):
@@ -255,11 +255,18 @@ class IoRanks2(Workload):
 
     name = "io_ranks2"
     L, STEPS, PLOTGAP = 32, 50, 1
+    #: the serial run (baseline and oracle) goes before every this many
+    #: timed 2-rank runs; its output is the same every time
+    SERIAL_EVERY = 3
 
     def __init__(self, seed, work):
         super().__init__(seed, work)
         from repro.core.execute import JobSpec
 
+        # both rank threads hand the interpreter lock over at every halo
+        # exchange and barrier; on one CPU a hand-off does not wait for the
+        # host to wake another vCPU (README.md, "Steadiness and host scaling")
+        pin_to_one_cpu()
         base = settings(L=self.L, steps=self.STEPS, plotgap=self.PLOTGAP, seed=seed)
         self.serial = JobSpec(base.with_overrides(output=str(work / "serial.bp")))
         self.ranks2 = JobSpec(base.with_overrides(ranks=2, output=str(work / "ranks2.bp")))
@@ -276,7 +283,8 @@ class IoRanks2(Workload):
         serial_walls = []
 
         def pair():
-            serial_walls.append(_execute(self.serial)[1])
+            if len(m.raw) % self.SERIAL_EVERY == 0:
+                serial_walls.append(_execute(self.serial)[1])
             _, ranks2 = _execute(self.ranks2)
             return ranks2, check_same_steps(self.serial.settings.output,
                                             self.ranks2.settings.output)
@@ -361,29 +369,37 @@ class Virtual(Workload):
 
 
 class ServeMix(Workload):
-    """Open-loop traffic on an in-process ``SimService``: a hot set answered
-    from the store, plus unique small jobs that execute and are stored."""
+    """Open-loop traffic on an in-process ``SimService``: the repo's own
+    serve mix (``repro.serve.loadgen``), a hot key answered from the store
+    plus unique F/k variations of it that execute and are stored."""
 
     name = "serve_mix"
     entry_modules = ("repro.core.execute", "repro.serve")
     L, STEPS, PLOTGAP = 24, 10, 10
-    #: a small hot set; UNIQUE of every BLOCK requests are unique jobs
-    HOT, BLOCK, UNIQUE = 4, 10, 3
+    #: share of requests that repeat the hot key: the hit fraction of the
+    #: repo's serve mix (``loadgen.drive_load``, perfsuite ``serve_load``)
+    HIT_FRACTION = 0.75
+    #: every block of BLOCK sends holds exactly one unique job
+    BLOCK = round(1 / (1 - HIT_FRACTION))
     #: requests per second of the three phases; the last is past saturation
     RATES = (8.0, 20.0, 200.0)
     #: share of a pass each phase lasts (the rest is drain time)
     SHARES = (0.1, 0.7, 0.1)
     #: the latency limit on the tail percentile, seconds
     LIMIT_S = 0.25
+    #: windows of the middle phase, with reference readings between two
+    WINDOWS = 24
 
     def __init__(self, seed, work):
         super().__init__(seed, work)
         from spans import Patches, SpanRecorder
 
         self.rng = np.random.default_rng(seed)
-        self.hot = [self._spec(int(s)) for s in
-                    self.rng.choice(10**6, self.HOT, replace=False)]
-        self._next_unique = int(self.rng.integers(10**6, 10**9))
+        #: the hot key; unique jobs are generate_specs variations of it
+        self.base = settings(L=self.L, steps=self.STEPS, plotgap=self.PLOTGAP,
+                             seed=seed, output="serve.bp")
+        self.hot = self._specs(1)[0]
+        self._used = 0
         self.loop = asyncio.new_event_loop()
         self.service = None
         #: rendered bytes of each key's execution, and executions per key,
@@ -401,15 +417,16 @@ class ServeMix(Workload):
             self.executions[stem] = self.executions.get(stem, 0) + 1
             self.cold.setdefault(stem, result["rendered"])
 
-    def _spec(self, seed: int):
-        from repro.core.execute import JobSpec
+    def _specs(self, count: int) -> list:
+        from repro.serve.loadgen import generate_specs
 
-        return JobSpec(settings(L=self.L, steps=self.STEPS, plotgap=self.PLOTGAP,
-                                seed=seed, output="serve.bp"))
+        return generate_specs(self.base, count)
 
-    def _unique(self):
-        self._next_unique += 1
-        return self._spec(self._next_unique)
+    def _uniques(self, count: int) -> list:
+        """The next ``count`` variations of the hot key, never reused."""
+        first = self._used + 1
+        self._used += count
+        return self._specs(self._used + 1)[first:]
 
     def _start(self) -> float:
         from repro.serve import SimService
@@ -423,13 +440,12 @@ class ServeMix(Workload):
 
     def probe(self):
         start = self._start()
-        self.loop.run_until_complete(self.service.run(self._unique()))
+        self.loop.run_until_complete(self.service.run(self._uniques(1)[0]))
         return {"service_start_s": start}
 
     def warm(self):
         self._start()
-        for spec in self.hot:
-            self.loop.run_until_complete(self.service.run(spec))
+        self.loop.run_until_complete(self.service.run(self.hot))
 
     def _check(self, req) -> bool:
         record = req.record
@@ -439,48 +455,73 @@ class ServeMix(Workload):
             return True
         return record.result.report.steps_run == self.STEPS
 
-    def _ladder(self, seconds):
-        from openloop import Request, drive, paced_schedule, phase_reports
+    def _requests(self, schedule) -> list:
+        """Requests for ``(phase, offset)`` sends: each block of BLOCK
+        consecutive sends holds exactly one unique job at a seeded position,
+        so the mix is random but never bunched."""
+        from openloop import Request
+
+        unique = np.zeros(len(schedule), dtype=bool)
+        starts = np.arange(0, len(schedule), self.BLOCK)
+        picks = starts + self.rng.integers(self.BLOCK, size=len(starts))
+        unique[picks[picks < len(schedule)]] = True
+        jobs = iter(self._uniques(int(unique.sum())))
+        return [Request(phase, offset, next(jobs) if is_unique else self.hot)
+                for (phase, offset), is_unique in zip(schedule, unique)]
+
+    def _drive(self, requests) -> None:
+        from openloop import drive
+
+        self.loop.run_until_complete(drive(self.service, requests, check=self._check))
+
+    def _ladder(self, seconds, m: Measurement):
+        """The three phases. The middle one runs as WINDOWS back-to-back
+        open-loop windows with reference readings on each CPU before,
+        between and after them, taken while the service is idle; its
+        latencies are scaled by the median of those readings (host.py)."""
+        from openloop import paced_schedule, phase_reports
 
         durations = [seconds * share for share in self.SHARES]
-        schedule = paced_schedule(self.rng, self.RATES, durations)
-        # each block of BLOCK consecutive sends holds exactly UNIQUE unique
-        # jobs at seeded positions: the mix is random but never bunched
-        unique = np.zeros(len(schedule), dtype=bool)
-        for lo in range(0, len(schedule), self.BLOCK):
-            picks = self.rng.choice(self.BLOCK, self.UNIQUE, replace=False) + lo
-            unique[picks[picks < len(schedule)]] = True
-        requests = [
-            Request(phase, offset, self._unique() if is_unique
-                    else self.hot[int(self.rng.integers(self.HOT))])
-            for (phase, offset), is_unique in zip(schedule, unique)
-        ]
         before = self._repeats()
-        ref_before = reference_seconds()
-        self.loop.run_until_complete(drive(self.service, requests, check=self._check))
-        host_ref = (ref_before + reference_seconds()) / 2
+        first = self._requests(paced_schedule(self.rng, self.RATES[:1], durations[:1]))
+        self._drive(first)
+        middle = []
+        m.host_refs.extend(reference_each_cpu())
+        for _ in range(self.WINDOWS):
+            reqs = self._requests([(1, offset) for _, offset in paced_schedule(
+                self.rng, self.RATES[1:2], [durations[1] / self.WINDOWS])])
+            self._drive(reqs)
+            m.host_refs.extend(reference_each_cpu())
+            middle += reqs
+        m.raw = [req.latency for req in middle]
+        scale = NOMINAL_S / statistics.median(m.host_refs)
+        m.latencies = [latency * scale for latency in m.raw]
+        last = self._requests([(2, offset) for _, offset in paced_schedule(
+            self.rng, self.RATES[2:], durations[2:])])
+        self._drive(last)
+        requests = first + middle + last
         return requests, phase_reports(requests, self.RATES, durations), \
-            self._repeats() - before, host_ref
+            self._repeats() - before
 
     def _repeats(self) -> int:
         """Executions beyond the first of any key (each one a failure)."""
         return sum(n - 1 for n in self.executions.values())
 
-    def _measurement(self, requests, phases, repeats, host_ref) -> Measurement:
-        m = Measurement()
+    def _measurement(self, m, requests, phases, repeats) -> Measurement:
         mid = phases[1]
-        scale = NOMINAL_S / host_ref
-        m.raw = [req.latency for req in requests if req.phase == 1]
-        m.latencies = [latency * scale for latency in m.raw]
-        m.host_refs = [host_ref]
         m.attempted = len(requests)
         m.failed = sum(not req.ok for req in requests) + repeats
-        executed = [req.record for req in requests if req.ok
-                    and not req.record.cached and not req.record.coalesced]
+        ran = [req for req in requests if req.ok
+               and not req.record.cached and not req.record.coalesced]
+        executed = [req.record for req in ran]
         exec_walls = [r.finished_at - r.started_at for r in executed]
-        if exec_walls:
+        # at the middle rate, like p50_ms: past saturation the two workers
+        # contend for the interpreter lock and every execution slows down
+        mid_walls = [req.record.finished_at - req.record.started_at
+                     for req in ran if req.phase == 1]
+        if mid_walls:
             m.mcell_steps_per_s = (self.L ** 3 * self.STEPS
-                                   / (float(np.median(exec_walls)) * scale) / 1e6)
+                                   / float(np.median(mid_walls)) / 1e6)
         m.work_walls = exec_walls
         # a failed or refused request misses the limit whatever its time
         m.extras["serve.goodput_rps"] = sum(
@@ -525,12 +566,14 @@ class ServeMix(Workload):
         return m
 
     def measure(self, seconds):
-        return self._measurement(*self._ladder(seconds))
+        m = Measurement()
+        return self._measurement(m, *self._ladder(seconds, m))
 
     def traced(self, seconds, tracing):
+        m = Measurement()
         with tracing():
-            ladder = self._ladder(seconds)
-        return self._measurement(*ladder)
+            ladder = self._ladder(seconds, m)
+        return self._measurement(m, *ladder)
 
     def close(self):
         if self.service is not None:
@@ -541,13 +584,14 @@ class ServeMix(Workload):
 
 
 def tail(samples) -> tuple[float, float]:
-    """(q, value): the highest of the 99.9/99/95/90/75th percentiles with at
-    least ten samples beyond it; the 75th when fewer than 40 samples."""
+    """(q, value): the highest of the 99.9/99/95/90th percentiles with at
+    least 25 samples beyond it, so that a few slow operations cannot set
+    it alone; the 75th when fewer than 250 samples."""
     samples = list(samples)
     if not samples:
         return 75.0, 0.0
     for q in (99.9, 99.0, 95.0, 90.0, 75.0):
-        if len(samples) * (1 - q / 100) >= 10:
+        if len(samples) * (1 - q / 100) >= 25:
             break
     return q, float(np.percentile(samples, q, method="higher"))
 
