@@ -48,6 +48,12 @@ bit-identity where a reference exists:
   ``hit_miss_p99_limit`` (0.10): a cache hit's tail latency must stay
   at least 10x below a cache miss's — the service contract, not a
   host-relative floor;
+- ``native_step`` — the fused native Gray-Scott step
+  (:mod:`repro.core.native`, through ``step_vectorized``) vs. its NumPy
+  body :func:`repro.core.stencil.step_numpy` (identical field bytes),
+  gated against the *absolute* ``min_speedup`` (3.0x): the native tier
+  must stay at least 3x faster than NumPy, or it does not pay for the
+  compiler it needs;
 - ``jit_warm`` — the persistent compilation cache
   (:mod:`repro.gpu.jitcache`): first-launch latency over distinct
   kernel specializations in a cold process (full trace) vs. a
@@ -739,6 +745,51 @@ def _case_jit_warm(quick: bool) -> CaseResult:
     )
 
 
+#: absolute floor on the native step's speedup over the NumPy step,
+#: enforced by :func:`check_regressions` (no derate, no tolerance)
+MIN_NATIVE_SPEEDUP = 3.0
+
+
+def _case_native_step(quick: bool) -> CaseResult:
+    from repro.core.params import GrayScottParams
+    from repro.core.stencil import native_step, step_numpy, step_vectorized
+
+    L = 48 if quick else 128
+    steps = 10 if quick else 4
+    shape = (L + 2,) * 3
+    rng = np.random.default_rng(7)
+    u, v = (np.asfortranarray(rng.random(shape)) for _ in range(2))
+    params = GrayScottParams(noise=0.01)
+    outputs = {}
+
+    def batch(step_fn):
+        out = [np.zeros(shape, order="F") for _ in range(2)]
+        for step in range(steps):
+            step_fn(u, v, *out, params, seed=3, step=step, global_start=(0, 0, 0))
+        outputs[step_fn.__name__] = out
+
+    batch(step_vectorized)  # first use builds or loads the library
+    opt_s = ref_s = float("inf")
+    for _ in range(3):
+        opt_s = min(opt_s, _best_of(lambda: batch(step_vectorized), 1))
+        ref_s = min(ref_s, _best_of(lambda: batch(step_numpy), 1))
+    identical = all(
+        np.array_equal(a, b)
+        for a, b in zip(outputs["step_vectorized"], outputs["step_numpy"])
+    )
+    return CaseResult(
+        name="native_step",
+        optimized_seconds=opt_s / steps,
+        reference_seconds=ref_s / steps,
+        identical=identical,
+        metrics={
+            "L": L,
+            "native": native_step.available(),
+            "min_speedup": MIN_NATIVE_SPEEDUP,
+        },
+    )
+
+
 def run_suite(*, quick: bool = False) -> SuiteResult:
     """Run all hot-path cases; ``quick`` shrinks sizes to CI scale."""
     loop_score = _measure_loop_score()
@@ -754,6 +805,7 @@ def run_suite(*, quick: bool = False) -> SuiteResult:
         _case_ir_passes(quick),
         _case_serve_load(quick, loop_score),
         _case_jit_warm(quick),
+        _case_native_step(quick),
     ]
     return SuiteResult(quick=quick, loop_score=loop_score, cases=cases)
 
@@ -865,6 +917,19 @@ def check_regressions(
                     f"below {floor:.4f} (baseline {base_rate:.4f} - "
                     f"{tolerance:.0%})"
                 )
+        # absolute floor on a case's own speedup (no derate, no
+        # tolerance): "the native step is >= 3x NumPy" is the contract
+        # that justifies needing a compiler, not a host-relative floor
+        speedup_floor = base.get("metrics", {}).get("min_speedup")
+        if (
+            speedup_floor
+            and cur_speedup is not None
+            and cur_speedup < speedup_floor
+        ):
+            failures.append(
+                f"{name}: speedup {cur_speedup:.2f}x is below the "
+                f"absolute {speedup_floor:.1f}x floor"
+            )
         # absolute floor on the vector-tier event-rate speedup (no
         # derate, no tolerance): "the epoch engine is >= 5x the scalar
         # heap" is the million-rank contract, not a host-relative floor

@@ -11,8 +11,9 @@ Layers:
 
 - :mod:`repro.core.params` / :mod:`repro.core.settings` — physics
   parameters and the JSON settings files of the paper's artifact;
-- :mod:`repro.core.stencil` — the kernels (reference loops, vectorized
-  NumPy, and GPU-simulator kernels mirroring Listing 2);
+- :mod:`repro.core.stencil` — the kernels (reference loops, the native
+  step of :mod:`repro.core.native` with its NumPy fallback, and
+  GPU-simulator kernels mirroring Listing 2);
 - :mod:`repro.core.domain` — Cartesian decomposition, ghost geometry,
   and the per-face ``MPI_Type_vector`` datatypes;
 - :mod:`repro.core.exchange` — the Listing 3 ghost exchange;

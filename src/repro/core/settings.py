@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import numbers
 from dataclasses import asdict, dataclass, fields, replace
 from pathlib import Path
 
@@ -46,9 +47,9 @@ class GrayScottSettings:
     checkpoint: str = ""
     #: checkpoint every `checkpoint_freq` steps (when enabled)
     checkpoint_freq: int = 700
-    #: RNG seed for the noise term
+    #: RNG seed for the noise term, in [0, 2**64)
     seed: int = 42
-    #: compute backend: "cpu" (vectorized NumPy) or a simulated GPU
+    #: compute backend: "cpu" (host step) or a simulated GPU
     #: backend name ("julia", "hip")
     backend: str = "cpu"
     #: adios engine for output
@@ -108,6 +109,13 @@ class GrayScottSettings:
             )
         if self.ranks < 0:
             raise ConfigError(f"ranks must be >= 0 (got {self.ranks})")
+        # the noise key is an unsigned 64-bit integer
+        if (
+            isinstance(self.seed, bool)
+            or not isinstance(self.seed, numbers.Integral)
+            or not 0 <= self.seed < 2**64
+        ):
+            raise ConfigError(f"seed must be an integer in [0, 2**64) (got {self.seed!r})")
         # validate the physics eagerly so bad settings files fail at load
         self.params()
 

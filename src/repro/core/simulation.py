@@ -7,7 +7,8 @@ passed; serial runs pass ``comm=None``.
 
 Backends (``settings.backend``):
 
-- ``"cpu"`` — vectorized NumPy stepping;
+- ``"cpu"`` — host stepping through ``step_vectorized`` (the native
+  kernel, or NumPy where no compiler exists);
 - ``"julia"`` / ``"hip"`` — the simulated-GPU path: the same update
   runs through :class:`repro.gpu.memory.Device` kernel launches, which
   also produces modeled kernel timings, rocprof counters, and JIT

@@ -1,12 +1,16 @@
 """Gray-Scott stencil kernels (paper Listing 2 and Eqs. 2-3).
 
-Three interchangeable implementations, used at different layers:
+Interchangeable implementations, used at different layers:
 
 - :func:`step_reference` — plain Python loops over interior cells; the
   ground truth for tests (slow, small grids only);
-- :func:`step_vectorized` — whole-array NumPy; the CPU production path.
-  It performs the *same* floating-point operations in the same order as
-  the reference, so the two agree bitwise;
+- :func:`step_vectorized` — the production step on the host: the fused
+  native kernel of :mod:`repro.core.native`, or :func:`step_numpy` on
+  installs with no C compiler;
+- :func:`step_numpy` — whole-array NumPy; the fallback, and the oracle
+  of the native kernel's load-time self-check. All three perform the
+  *same* floating-point operations in the same order, so they agree
+  bitwise;
 - :func:`make_gray_scott_kernel` / :func:`make_laplacian_kernel` — GPU
   kernels for the simulated device, mirroring the paper's Listing 2:
   scalar per-workitem bodies (with the Listing 2 launch-axis mapping
@@ -23,6 +27,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.core.native import NativeStep
 from repro.core.params import GrayScottParams
 from repro.gpu.kernel import Kernel, KernelContext
 from repro.gpu.rand import counter_uniform, uniform_field
@@ -41,6 +46,33 @@ def check_ghosted(field: np.ndarray, name: str = "field") -> None:
         )
     if not field.flags.f_contiguous:
         raise ConfigError(f"{name} must be Fortran-ordered (column-major, like Julia)")
+
+
+def check_step_arrays(u, v, u_new, v_new) -> None:
+    """Validate the four arrays of a step before any is read or written.
+
+    All must share one shape and one dtype (float64 or float32) and be
+    Fortran-ordered; the outputs must be writable and overlap neither the
+    inputs nor each other.
+    """
+    check_ghosted(u, "u")
+    if u.dtype not in (np.float64, np.float32):
+        raise ConfigError(f"u dtype must be float64 or float32, got {u.dtype}")
+    for name, arr in (("v", v), ("u_new", u_new), ("v_new", v_new)):
+        if not isinstance(arr, np.ndarray):
+            raise ConfigError(f"{name} must be a numpy array, got {type(arr).__name__}")
+        if arr.shape != u.shape:
+            raise ConfigError(f"{name} shape {arr.shape} != u shape {u.shape}")
+        if arr.dtype != u.dtype:
+            raise ConfigError(f"{name} dtype {arr.dtype} != u dtype {u.dtype}")
+        if not arr.flags.f_contiguous:
+            raise ConfigError(f"{name} must be Fortran-ordered (column-major, like Julia)")
+    for name, arr in (("u_new", u_new), ("v_new", v_new)):
+        if not arr.flags.writeable:
+            raise ConfigError(f"{name} must be writable")
+    for a, b in ((u_new, u), (u_new, v), (u_new, v_new), (v_new, u), (v_new, v)):
+        if np.may_share_memory(a, b):
+            raise ConfigError("step outputs must not overlap the inputs or each other")
 
 
 def laplacian_at(var, i: int, j: int, k: int):
@@ -91,10 +123,7 @@ def step_reference(
     ``global_start`` is the global coordinate of the first *interior*
     cell of this subdomain; it keys the decomposition-invariant noise.
     """
-    check_ghosted(u, "u")
-    for name, arr in (("v", v), ("u_new", u_new), ("v_new", v_new)):
-        if arr.shape != u.shape:
-            raise ConfigError(f"{name} shape {arr.shape} != u shape {u.shape}")
+    check_step_arrays(u, v, u_new, v_new)
     Du, Dv, F, K = params.Du, params.Dv, params.F, params.k
     noise, dt = params.noise, params.dt
     g0, g1, g2 = global_start
@@ -137,7 +166,40 @@ def step_vectorized(
     step: int,
     global_start: tuple[int, int, int] = (0, 0, 0),
 ) -> None:
-    """Whole-array interior update; bitwise-matches :func:`step_reference`."""
+    """The production interior update; bitwise-matches :func:`step_reference`.
+
+    Runs the native kernel, or :func:`step_numpy` where none could be
+    built (see :mod:`repro.core.native`).
+    """
+    check_step_arrays(u, v, u_new, v_new)
+    if len(global_start) != 3:
+        raise ConfigError(f"global_start must have 3 coordinates, got {global_start}")
+    for name, key in (("seed", seed), ("step", step), *(("global_start", g) for g in global_start)):
+        if not 0 <= key < 2**64:
+            raise ConfigError(f"{name} {key} outside [0, 2**64)")
+    if not native_step(u, v, u_new, v_new, params, seed, step, global_start):
+        step_numpy(
+            u, v, u_new, v_new, params,
+            seed=seed, step=step, global_start=global_start,
+        )
+
+
+def step_numpy(
+    u: np.ndarray,
+    v: np.ndarray,
+    u_new: np.ndarray,
+    v_new: np.ndarray,
+    params: GrayScottParams,
+    *,
+    seed: int,
+    step: int,
+    global_start: tuple[int, int, int] = (0, 0, 0),
+) -> None:
+    """Whole-array NumPy interior update; bitwise-matches :func:`step_reference`.
+
+    The fallback of :func:`step_vectorized` and the oracle the native
+    kernel's load-time self-check compares against.
+    """
     check_ghosted(u, "u")
     Du, Dv, F, K = params.Du, params.Dv, params.F, params.k
     noise, dt = params.noise, params.dt
@@ -155,6 +217,10 @@ def step_vectorized(
     dv = Dv * laplacian_field(v64) + reaction - (F + K) * vc
     u_new[1:-1, 1:-1, 1:-1] = uc + du * dt
     v_new[1:-1, 1:-1, 1:-1] = vc + dv * dt
+
+
+#: the process's native step; built on first use, checked against step_numpy
+native_step = NativeStep(step_numpy)
 
 
 # ---------------------------------------------------------------------------

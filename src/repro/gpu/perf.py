@@ -98,9 +98,14 @@ class RooflineModel:
         self.backend = backend
         self.counter_mode = counter_mode
         self.traffic_model = StencilTrafficModel(spec)
+        # (id(compiled), config, shapes) -> (compiled, LaunchCost); the
+        # entry holds ``compiled`` so its id cannot be reused meanwhile
+        self._costs: dict[tuple, tuple[CompiledKernel, LaunchCost]] = {}
 
     def _array_shapes(self, compiled: CompiledKernel, args) -> dict[str, tuple]:
         """Map trace array names to the shapes/itemsizes of launch args."""
+        from repro.gpu.memory import DeviceArray
+
         shapes: dict[str, tuple] = {}
         for position, name in compiled.trace.array_names_by_position.items():
             if position >= len(args):
@@ -109,8 +114,6 @@ class RooflineModel:
                     f"argument {position} but the launch passed {len(args)} args"
                 )
             arg = args[position]
-            from repro.gpu.memory import DeviceArray
-
             data = arg.data if isinstance(arg, DeviceArray) else arg
             if not isinstance(data, np.ndarray):
                 raise GpuError(
@@ -182,6 +185,25 @@ class RooflineModel:
         return fetch, write
 
     def launch_cost(
+        self, compiled: CompiledKernel, config: LaunchConfig, args
+    ) -> LaunchCost:
+        """The modeled cost of one launch.
+
+        The model is a pure function of the compiled kernel's trace, the
+        launch config and the arrays' shapes and itemsizes, so the result
+        is memoized on exactly those; a repeat launch returns the same
+        :class:`LaunchCost` without re-deriving the trace's offsets.
+        """
+        shapes = self._array_shapes(compiled, args)
+        key = (id(compiled), config, tuple(shapes.items()))
+        entry = self._costs.get(key)
+        if entry is not None and entry[0] is compiled:
+            return entry[1]
+        cost = self._launch_cost(compiled, config, args)
+        self._costs[key] = (compiled, cost)
+        return cost
+
+    def _launch_cost(
         self, compiled: CompiledKernel, config: LaunchConfig, args
     ) -> LaunchCost:
         traffic = self.traffic(compiled, args)

@@ -68,6 +68,10 @@ _SPAN_FIELDS = (
     "name", "cat", "clock", "process", "thread", "start", "seconds", "ph",
 )
 
+#: ``json.dumps(obj, separators=(",", ":"))`` without building a new
+#: encoder per call (dumps only caches the all-defaults encoder)
+_encode_compact = json.JSONEncoder(separators=(",", ":")).encode
+
 
 # ---------------------------------------------------------------------------
 # span <-> JSONL record
@@ -264,11 +268,7 @@ class ShardedPerfettoWriter(TraceSink):
             return
         if self._handle is None:
             self._handle = open(self._shard_path(), "a")
-        dumps = json.dumps
-        lines = [
-            dumps(span_to_record(span), separators=(",", ":"))
-            for span in self._buffer
-        ]
+        lines = [_encode_compact(span_to_record(span)) for span in self._buffer]
         self._handle.write("\n".join(lines) + "\n")
         self._handle.flush()
         self._shard_count += len(self._buffer)

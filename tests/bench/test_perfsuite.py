@@ -24,7 +24,7 @@ from repro.bench.perfsuite import (
 CASE_NAMES = {
     "cache_sweep", "jit_trace_memo", "pack_unpack",
     "io_bp5", "par_speedup", "sched_engine", "vspmd", "trace_streaming",
-    "ir_passes", "serve_load", "jit_warm",
+    "ir_passes", "serve_load", "jit_warm", "native_step",
 }
 
 
@@ -143,6 +143,15 @@ class TestSchema:
         # persisted plans are byte-for-byte what a fresh trace produces
         assert case["identical"] is True
 
+    def test_native_step_case_reports_floor_contract(self, payload):
+        from repro.bench.perfsuite import MIN_NATIVE_SPEEDUP
+
+        (case,) = [c for c in payload["cases"] if c["name"] == "native_step"]
+        assert case["metrics"]["L"] > 0
+        assert case["metrics"]["min_speedup"] == MIN_NATIVE_SPEEDUP
+        # the native step writes the NumPy step's bytes
+        assert case["identical"] is True
+
     def test_payload_is_json_serializable(self, payload, tmp_path):
         path = tmp_path / "BENCH_selfperf.json"
         path.write_text(json.dumps(payload, indent=2))
@@ -244,6 +253,19 @@ class TestGate:
         assert any("vector-tier event rate" in f for f in failures)
         # absolute limit: survives the baseline derate, names the 5x bar
         assert any("5.0x floor" in f for f in failures)
+
+    def test_native_speedup_gated_absolutely(self, payload):
+        doctored = copy.deepcopy(payload)
+        for case in doctored["cases"]:
+            if case["name"] == "native_step":
+                case["speedup"] = 2.0
+        baseline = to_baseline(payload)
+        for case in baseline["cases"]:
+            if case["name"] == "native_step":
+                case["speedup"] = 1.0  # a derated floor the 2x run clears
+        failures = check_regressions(doctored, baseline)
+        # absolute limit: survives the baseline derate, names the 3x bar
+        assert any("native_step" in f and "3.0x floor" in f for f in failures)
 
     def test_rejects_wrong_schema(self, payload):
         doctored = copy.deepcopy(payload)

@@ -1,6 +1,7 @@
 """float32 field support: parity and decomposition invariance."""
 
 import numpy as np
+import pytest
 
 from repro.core.params import GrayScottParams
 from repro.core.settings import GrayScottSettings
@@ -64,3 +65,8 @@ class TestFloat32Stencil:
         reader = BP5Reader(None, settings.output)
         data = reader.read("U", step=1)
         assert data.dtype == np.float32
+
+
+@pytest.mark.usefixtures("numpy_fallback")
+class TestFloat32StencilNumpyFallback(TestFloat32Stencil):
+    """Every float32 test again, with the NumPy fallback forced (no compiler)."""

@@ -47,11 +47,23 @@ class TestSettings:
             {"backend": "cuda"},
             {"nx": 2},
             {"checkpoint": "c.bp", "checkpoint_freq": 0},
+            {"seed": -1},
+            {"seed": 2**64},
+            {"seed": 1.5},
+            {"seed": True},
         ],
     )
     def test_invalid_values(self, kwargs):
         with pytest.raises(ConfigError):
             GrayScottSettings(**kwargs)
+
+    @pytest.mark.parametrize("seed", [0, 2**64 - 1])
+    def test_seed_range_bounds_accepted(self, seed):
+        assert GrayScottSettings(seed=seed).seed == seed
+
+    def test_negative_seed_rejected_at_load(self):
+        with pytest.raises(ConfigError, match=r"seed must be an integer in \[0, 2\*\*64\)"):
+            GrayScottSettings.from_json('{"L": 8, "seed": -1}')
 
     def test_physics_validated_at_load(self):
         with pytest.raises(ConfigError, match="unstable"):

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from repro.core import stencil
 from repro.core.params import GrayScottParams
 from repro.core.stencil import (
     check_ghosted,
@@ -131,6 +132,44 @@ class TestStepImplementations:
         bad = np.zeros((4, 4, 4), order="F")
         with pytest.raises(ConfigError):
             step_reference(u, v, bad, v1, GrayScottParams(), seed=0, step=0)
+        f32 = np.zeros(u.shape, dtype=np.float32, order="F")
+        c_order = np.zeros(u.shape, order="C")
+        cases = {
+            "v shape": (u, bad, u1, v1),
+            "u_new shape": (u, v, bad, v1),
+            "v_new shape": (u, v, u1, bad),
+            "v_new float32 beside float64": (u, v, u1, f32),
+            "v float32 beside float64": (u, f32, u1, v1),
+            "u_new C-ordered": (u, v, c_order, v1),
+            "v C-ordered": (u, np.ascontiguousarray(v), u1, v1),
+            "integer fields": tuple(a.astype(np.int64, order="F") for a in (u, v, u1, v1)),
+            "float16 fields": tuple(a.astype(np.float16, order="F") for a in (u, v, u1, v1)),
+            "output aliases input": (u, v, u, v1),
+            "outputs alias each other": (u, v, u1, u1),
+        }
+        for name, arrays in cases.items():
+            with pytest.raises(ConfigError):
+                step_vectorized(*arrays, GrayScottParams(), seed=0, step=0)
+                pytest.fail(f"{name} was accepted")
+        read_only = np.zeros_like(v1)
+        read_only.flags.writeable = False
+        with pytest.raises(ConfigError, match="writable"):
+            step_vectorized(u, v, u1, read_only, GrayScottParams(), seed=0, step=0)
+
+    @pytest.mark.parametrize(
+        "keys",
+        [
+            {"seed": -1, "step": 0},
+            {"seed": 2**64, "step": 0},
+            {"seed": 0, "step": -1},
+            {"seed": 0, "step": 0, "global_start": (0, -1, 0)},
+            {"seed": 0, "step": 0, "global_start": (0, 0, 2**64)},
+        ],
+    )
+    def test_keys_outside_u64_rejected(self, keys):
+        u, v, u1, v1 = _fields(n=2)
+        with pytest.raises(ConfigError, match=r"outside \[0, 2\*\*64\)"):
+            step_vectorized(u, v, u1, v1, GrayScottParams(), **keys)
 
     def test_pure_diffusion_decays_peak_and_conserves_mass(self):
         """Physics sanity: with U=0 and F=k=noise=0, V diffuses only —
@@ -152,6 +191,14 @@ class TestStepImplementations:
             assert peak < v_prev_peak
             v_prev_peak = peak
         assert v[INTERIOR].sum() == pytest.approx(mass0, rel=1e-12)
+
+
+@pytest.mark.usefixtures("numpy_fallback")
+class TestStepImplementationsNumpyFallback(TestStepImplementations):
+    """Every step test again, with the NumPy fallback forced (no compiler)."""
+
+    def test_dispatches_to_numpy(self):
+        assert not stencil.native_step.available()
 
 
 class TestLaplacianKernel:

@@ -79,3 +79,59 @@ class TestRooflineModel:
         # 1-var no-random is faster per byte than the app kernel
         assert JULIA_BACKEND.effective_efficiency(False) > JULIA_BACKEND.effective_efficiency(True)
         assert cost.total_bytes > 0
+
+
+class _MemoFreeRoofline(RooflineModel):
+    """The roofline model with the launch-cost memo bypassed."""
+
+    def launch_cost(self, compiled, config, args):
+        return self._launch_cost(compiled, config, args)
+
+
+class TestLaunchCostMemo:
+    @staticmethod
+    def _modeled_clock(counter_mode, memo_free, shapes):
+        from repro.gpu.memory import Device
+
+        device = Device(backend="julia", counter_mode=counter_mode)
+        if memo_free:
+            device.roofline = _MemoFreeRoofline(
+                device.spec, device.backend, counter_mode=counter_mode
+            )
+        kernel = make_gray_scott_kernel()
+        for step, shape in enumerate(shapes):
+            u = np.ones(shape, order="F")
+            v = np.full(shape, 0.25, order="F")
+            args = kernel_args(
+                u, v, np.zeros_like(u), np.zeros_like(v), GrayScottParams(),
+                seed=1, step=step,
+            )
+            cfg = LaunchConfig.for_domain(tuple(reversed(shape)), (4, 1, 1))
+            device.launch(kernel, cfg.grid, cfg.workgroup, args)
+        return device
+
+    @pytest.mark.parametrize("counter_mode", ["analytic", "trace"])
+    def test_modeled_clock_bit_identical_to_memo_free(self, counter_mode):
+        shapes = [(10, 10, 10)] * 4 + [(8, 10, 12)] * 3 + [(10, 10, 10)] * 2
+        memo = self._modeled_clock(counter_mode, False, shapes)
+        plain = self._modeled_clock(counter_mode, True, shapes)
+        assert memo.clock.now.hex() == plain.clock.now.hex()
+        assert memo.clock.now > 0.0
+
+    def test_repeat_launch_is_a_hit_and_shape_change_a_new_entry(self):
+        device = self._modeled_clock("analytic", False, [(10, 10, 10)] * 3)
+        assert len(device.roofline._costs) == 1
+        device = self._modeled_clock(
+            "analytic", False, [(10, 10, 10)] * 3 + [(8, 10, 12)]
+        )
+        assert len(device.roofline._costs) == 2
+
+    def test_memoized_cost_equals_fresh_cost(self, gs_setup):
+        model = RooflineModel(GcdSpec(), JULIA_BACKEND)
+        compiled = _compiled(JULIA_BACKEND, make_gray_scott_kernel(), gs_setup)
+        cfg = LaunchConfig.for_domain((16, 16, 16), (4, 4, 4))
+        first = model.launch_cost(compiled, cfg, gs_setup)
+        assert model.launch_cost(compiled, cfg, gs_setup) is first
+        assert first == model._launch_cost(compiled, cfg, gs_setup)
+        other = LaunchConfig.for_domain((16, 16, 16), (8, 2, 2))
+        assert model.launch_cost(compiled, other, gs_setup) is not first

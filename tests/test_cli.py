@@ -23,6 +23,12 @@ class TestCliRun:
         assert main(["run", str(tmp_path / "nope.json")]) == 1
         assert "grayscott:" in capsys.readouterr().err
 
+    def test_run_negative_seed_exits_1(self, tmp_path, capsys):
+        path = tmp_path / "seed.json"
+        path.write_text('{"L": 8, "steps": 2, "seed": -1}')
+        assert main(["run", str(path)]) == 1
+        assert "seed must be an integer" in capsys.readouterr().err
+
 
 class TestCliAnalyze:
     def test_analyze_dataset(self, settings_file, tmp_path, capsys):
