@@ -80,8 +80,16 @@ class Bp5Index:
     attributes: dict[str, Attribute] = field(default_factory=dict)
     blocks: list[BlockInfo] = field(default_factory=list)
     engine: str = "BP5"
+    # append-only text cache for to_text(): _encoded[i] is the JSON of
+    # _encoded_blocks[i], valid while that block is still blocks[i]
+    _encoded_blocks: list[BlockInfo] = field(
+        default_factory=list, init=False, repr=False, compare=False
+    )
+    _encoded: list[str] = field(
+        default_factory=list, init=False, repr=False, compare=False
+    )
 
-    def to_json(self) -> dict:
+    def _header_json(self) -> dict:
         return {
             "format": FORMAT_NAME,
             "version": FORMAT_VERSION,
@@ -91,8 +99,42 @@ class Bp5Index:
             "nsubfiles": self.nsubfiles,
             "variables": [v.to_json() for v in self.variables.values()],
             "attributes": {k: _attr_to_json(a) for k, a in self.attributes.items()},
-            "blocks": [b.to_json() for b in self.blocks],
         }
+
+    def to_json(self) -> dict:
+        return {**self._header_json(), "blocks": [b.to_json() for b in self.blocks]}
+
+    def to_text(self) -> str:
+        """``json.dumps(self.to_json(), indent=1)``, byte for byte.
+
+        Each block is encoded once, the first time it is seen, and cached
+        by identity (blocks are frozen, so the text cannot go stale); a
+        call then encodes only the small header and joins the cached
+        fragments. Encoding the whole index every step with ``indent``
+        runs CPython's pure-Python encoder over every block ever written,
+        which grows with the square of the step count. The cache keeps
+        the longest prefix of ``blocks`` it already encoded, so replacing,
+        truncating or reloading the list re-encodes from the first
+        changed block on.
+        """
+        blocks, encoded_blocks = self.blocks, self._encoded_blocks
+        keep = 0
+        for cached, block in zip(encoded_blocks, blocks):
+            if cached is not block:
+                break
+            keep += 1
+        del encoded_blocks[keep:], self._encoded[keep:]
+        for block in blocks[keep:]:
+            # a block sits at depth 2 of the index, one space per level
+            text = json.dumps(block.to_json(), indent=1)
+            self._encoded.append("  " + text.replace("\n", "\n  "))
+            encoded_blocks.append(block)
+        head = json.dumps({**self._header_json(), "blocks": []}, indent=1)
+        if not blocks:
+            return head
+        # "blocks" is the last key: swap the header's closing "[]\n}" for
+        # the joined fragments
+        return head[:-4] + "[\n" + ",\n".join(self._encoded) + "\n ]\n}"
 
     @classmethod
     def from_json(cls, data: dict) -> "Bp5Index":
@@ -157,7 +199,7 @@ def create_dataset(path: Path, nsubfiles: int) -> None:
 
 def write_index(path: Path, index: Bp5Index) -> None:
     # atomic write-then-rename: readers never see a torn index
-    atomic_write_text(path / INDEX_FILE, json.dumps(index.to_json(), indent=1))
+    atomic_write_text(path / INDEX_FILE, index.to_text())
 
 
 def read_index(path: str | os.PathLike) -> Bp5Index:
@@ -170,15 +212,6 @@ def read_index(path: str | os.PathLike) -> Bp5Index:
     except json.JSONDecodeError as exc:
         raise CorruptFileError(f"{index_file}: unparseable index: {exc}") from exc
     return Bp5Index.from_json(raw)
-
-
-def append_block(path: Path, subfile: int, payload) -> int:
-    """Append one raw block to a subfile; returns the write offset."""
-    target = path / f"data.{subfile}"
-    with open(target, "ab") as fh:
-        offset = fh.tell()
-        fh.write(payload)
-    return offset
 
 
 #: max buffers per writev() call (POSIX guarantees >= 16; Linux: 1024)

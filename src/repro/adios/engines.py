@@ -10,7 +10,10 @@ paper: "a single sub-file per node"):
    rank order and records block offsets;
 3. aggregators forward block metadata to rank 0, which merges it into
    the JSON index and rewrites it atomically — so a dataset is readable
-   after every completed step, like real BP5.
+   after every completed step, like real BP5. The rewrite is
+   re-serialized incrementally: each block's JSON is encoded once, when
+   it is merged, and every later rewrite joins the cached text under a
+   freshly encoded header (:meth:`~repro.adios.bp5.Bp5Index.to_text`).
 
 The reader is serial (the paper's analysis side is a single Jupyter
 kernel): it loads the index once and assembles any box selection of any
@@ -106,6 +109,9 @@ class BP5Writer:
             )
         else:
             self._index = None
+        # rank 0 owes a write until the index on disk matches _index: a
+        # new dataset has none yet, an appended one refreshed attributes
+        self._index_dirty = self._index is not None
         if mode == "a":
             # all ranks need the step counter to continue correctly
             nsteps = self._index.nsteps if self.rank == 0 else None
@@ -356,14 +362,16 @@ class BP5Writer:
                 entry.steps.append(block.step)
         self._index.attributes.update({a.name: a for a in self.io.attributes.values()})
         bp5.write_index(self.path, self._index)
+        self._index_dirty = False
 
     def close(self) -> None:
         if self._closed:
             return
         if self._in_step:
             raise EngineStateError("close() inside an open step; call end_step first")
-        if self.rank == 0 and self._index is not None:
+        if self._index_dirty:
             bp5.write_index(self.path, self._index)
+            self._index_dirty = False
         if self.comm is not None:
             self.comm.barrier()
         self._closed = True

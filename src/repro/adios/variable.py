@@ -150,9 +150,14 @@ class Attribute:
         raise VariableError(f"unsupported attribute type: {type(self.value).__name__}")
 
 
-@dataclass
+@dataclass(frozen=True)
 class BlockInfo:
-    """Metadata of one block written by one rank at one step."""
+    """Metadata of one block written by one rank at one step.
+
+    Frozen: the index caches each block's encoded JSON (see
+    :meth:`repro.adios.bp5.Bp5Index.to_text`), so a block never changes
+    after it is created.
+    """
 
     var: str
     step: int

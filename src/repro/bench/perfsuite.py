@@ -12,9 +12,9 @@ bit-identity where a reference exists:
 - ``pack_unpack`` — :func:`repro.mpi.datatypes.pack`/``unpack`` strided
   view vs. the retained gather path (identical wire bytes);
 - ``io_bp5`` — :func:`repro.adios.bp5.append_blocks` batched writev of
-  zero-copy :func:`~repro.adios.bp5.block_payload` views vs. the
-  retained per-block ``tobytes`` + ``append_block`` path (identical
-  file bytes, offsets, and CRCs);
+  zero-copy :func:`~repro.adios.bp5.block_payload` views vs. a
+  per-block ``tobytes`` + open-and-append reference kept inside the
+  case (identical file bytes, offsets, and CRCs);
 - ``par_speedup`` — the Fig. 6 rank ladder through
   :func:`repro.par.run_tasks` at ``--jobs 2`` vs. serial (identical
   points; the speedup is the process-parallel win on multi-core CI);
@@ -302,14 +302,20 @@ def _case_io_bp5(quick: bool) -> CaseResult:
             crcs.append(crc)
         return bp5.append_blocks(root, 0, payloads), crcs
 
+    def append_block(root: Path, payload) -> int:
+        with open(root / "data.0", "ab") as fh:
+            offset = fh.tell()
+            fh.write(payload)
+        return offset
+
     def ref(root: Path):
-        # the retained per-block path: one tobytes copy and one
+        # the per-block reference: one tobytes copy and one
         # open+write syscall pair per block
         offsets, crcs = [], []
         for b in blocks:
             payload = b.tobytes(order="F")
             crcs.append(zlib.crc32(payload) & 0xFFFFFFFF)
-            offsets.append(bp5.append_block(root, 0, payload))
+            offsets.append(append_block(root, payload))
         return offsets, crcs
 
     repeats = 3 if quick else 5

@@ -8,13 +8,34 @@ temporary file *in the destination directory* (same filesystem, so the
 rename cannot degrade to a copy) and ``os.replace`` publishes it — a
 reader never observes a torn or partially-written file, and two writers
 racing the same path leave whichever complete version replaced last.
+The published file gets the mode ``open()`` would have given it
+(``0o666`` less the umask), not ``mkstemp``'s private ``0o600``.
 """
 
 from __future__ import annotations
 
 import os
 import tempfile
+import threading
 from pathlib import Path
+
+_umask_lock = threading.Lock()
+_umask: int | None = None
+
+
+def _new_file_mode() -> int:
+    """``0o666 & ~umask``: the mode ``open()`` gives a new file.
+
+    The umask can only be read by setting it, so it is read once, under
+    a lock (two threads swapping it concurrently could leave the wrong
+    umask behind), and set to the private ``0o077`` for that instant.
+    """
+    global _umask
+    with _umask_lock:
+        if _umask is None:
+            _umask = os.umask(0o077)
+            os.umask(_umask)
+    return 0o666 & ~_umask
 
 
 def atomic_write_bytes(path: str | os.PathLike, data: bytes) -> Path:
@@ -31,6 +52,7 @@ def atomic_write_bytes(path: str | os.PathLike, data: bytes) -> Path:
     try:
         with os.fdopen(fd, "wb") as handle:
             handle.write(data)
+        os.chmod(tmp, _new_file_mode())
         os.replace(tmp, target)
     except BaseException:
         try:

@@ -407,3 +407,93 @@ class TestAppendNewVariable:
         reader = io.open(path, "r")
         assert reader.nsteps == 2
         assert reader.steps("U") == [1]
+
+
+class TestIncrementalIndex:
+    """The index rewrite is incremental; its bytes and its calls are pinned."""
+
+    def test_index_on_disk_is_full_encoding_after_every_step(self, tmp_path):
+        path = tmp_path / "inc.bp"
+        shape, steps = (4, 4, 4), 4
+        global_shape = (4, 4, 8)
+
+        def worker(comm, mode, first):
+            io = Adios().declare_io("inc")
+            io.define_attribute("Du", 0.2)
+            start = (0, 0, 4 * comm.rank)
+            u = io.define_variable(
+                "U", np.float64, shape=global_shape, start=start, count=shape
+            )
+            w = io.define_variable(
+                "W", np.float64, shape=global_shape, start=start, count=shape
+            )
+            step_var = io.define_variable("step", np.int64)
+            on_disk = []
+            with io.open(str(path), mode, comm=comm) as engine:
+                for s in range(first, first + steps):
+                    engine.begin_step()
+                    engine.put(u, np.full(shape, s + comm.rank / 10, order="F"))
+                    engine.put(step_var, s)
+                    if s >= 2:  # W first appears mid-stream
+                        engine.put(w, np.full(shape, -s, order="F"))
+                    engine.end_step()
+                    if comm.rank == 0:
+                        text = (dataset_path(path) / INDEX_FILE).read_text()
+                        expected = json.dumps(engine._index.to_json(), indent=1)
+                        on_disk.append(text == expected)
+            return on_disk
+
+        written = run_spmd(worker, 2, "w", 0, timeout=60)
+        assert written[0] == [True] * steps
+        appended = run_spmd(worker, 2, "a", steps, timeout=60)
+        assert appended[0] == [True] * steps
+
+        reader = Adios().declare_io("r").open(path, "r")
+        assert reader.nsteps == 2 * steps
+        assert reader.steps("W") == list(range(2, 2 * steps))
+        assert reader.scalar_series("step") == list(range(2 * steps))
+        for s in range(2 * steps):
+            full = reader.read("U", step=s)
+            assert (full[:, :, :4] == s).all() and (full[:, :, 4:] == s + 0.1).all()
+
+    @staticmethod
+    def _count_index_writes(monkeypatch):
+        from repro.adios import bp5
+
+        calls = []
+        real = bp5.write_index
+
+        def counting(path, index):
+            calls.append(index.nsteps)
+            real(path, index)
+
+        monkeypatch.setattr(bp5, "write_index", counting)
+        return calls
+
+    def test_close_does_not_rewrite_an_unchanged_index(self, io, tmp_path, monkeypatch):
+        calls = self._count_index_writes(monkeypatch)
+        _write_steps(io, tmp_path / "n.bp", steps=3, shape=(4, 4, 4))
+        assert calls == [1, 2, 3]
+
+    def test_zero_step_dataset_writes_index_at_close(self, io, tmp_path, monkeypatch):
+        calls = self._count_index_writes(monkeypatch)
+        with io.open(tmp_path / "z.bp", "w"):
+            pass
+        assert calls == [0]
+        assert read_index(tmp_path / "z.bp").nsteps == 0
+
+    def test_append_without_steps_refreshes_attributes(self, tmp_path, monkeypatch):
+        _write_steps(Adios().declare_io("a"), tmp_path / "x.bp", steps=2)
+        calls = self._count_index_writes(monkeypatch)
+        io = Adios().declare_io("a")
+        io.define_attribute("note", "added on reopen")
+        with io.open(tmp_path / "x.bp", "a"):
+            pass
+        assert calls == [2]
+        assert read_index(tmp_path / "x.bp").attributes["note"].value == "added on reopen"
+
+    def test_index_file_has_the_data_subfile_mode(self, io, tmp_path):
+        _write_steps(io, tmp_path / "m.bp", steps=1)
+        root = dataset_path(tmp_path / "m.bp")
+        index_mode = (root / INDEX_FILE).stat().st_mode
+        assert index_mode == (root / "data.0").stat().st_mode

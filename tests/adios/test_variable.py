@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -102,6 +104,12 @@ class TestBlockInfo:
     def test_json_roundtrip(self):
         block = self._block()
         assert BlockInfo.from_json(block.to_json()) == block
+
+    def test_frozen(self):
+        # the index caches each block's JSON text, so blocks never change
+        block = self._block()
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            block.offset = 0
 
     def test_intersection_overlap(self):
         block = self._block()

@@ -83,3 +83,12 @@ class TestAtomicWriteText:
             atomic_write_text(target, text)
         assert target.read_text() in payloads
         assert os.listdir(tmp_path) == ["out.txt"]
+
+
+class TestPublishedMode:
+    def test_mode_is_what_open_gives(self, tmp_path):
+        # mkstemp creates 0o600; the published file must not stay private
+        atomic_write_bytes(tmp_path / "atomic.bin", b"data")
+        (tmp_path / "plain.bin").write_bytes(b"data")
+        atomic_mode = (tmp_path / "atomic.bin").stat().st_mode
+        assert atomic_mode == (tmp_path / "plain.bin").stat().st_mode
