@@ -18,16 +18,17 @@ bit-identity where a reference exists:
 - ``par_speedup`` — the Fig. 6 rank ladder through
   :func:`repro.par.run_tasks` at ``--jobs 2`` vs. serial (identical
   points; the speedup is the process-parallel win on multi-core CI);
-- ``sched_engine`` — a virtual-SPMD overlap run; no slow engine is
-  retained, so the case reports absolute throughput plus a
-  machine-normalized event rate for the regression gate;
-- ``vspmd`` — the vector epoch-queue tier of
-  :class:`repro.core.virtual.VirtualWorkflow` vs. the retained scalar
-  event-heap tier on the same overlap run (identical reductions,
-  barrier recurrence, and per-rank finish times), gated against the
-  *absolute* ``min_rate_speedup`` (5.0x): the NumPy epoch engine must
-  stay at least 5x above the scalar reference's event rate — the
-  million-rank contract, not a host-relative floor;
+- ``sched_engine`` — a virtual-SPMD overlap run through
+  :meth:`repro.core.virtual.VirtualWorkflow.run` (the vector tier);
+  the case reports absolute throughput plus a machine-normalized
+  event rate for the regression gate, with no reference;
+- ``vspmd`` — :meth:`~repro.core.virtual.VirtualWorkflow.run` (the
+  vector epoch-queue tier) vs. ``_run_serial()``, the per-rank
+  generators on the event heap, on the same overlap run (identical
+  reductions, barrier recurrence, and per-rank finish times), gated
+  against the *absolute* ``min_rate_speedup`` (5.0x): the NumPy epoch
+  engine must stay at least 5x above the generator path's event
+  rate — the million-rank contract, not a host-relative floor;
 - ``trace_streaming`` — the bounded-memory streaming sink
   (:mod:`repro.observe.stream`): raw spans/sec through a
   ``ShardedPerfettoWriter`` (machine-normalized for the rate gate),
@@ -413,9 +414,10 @@ def _case_sched_engine(quick: bool, loop_score: float) -> CaseResult:
     )
 
 
-#: absolute floor on the vspmd vector-vs-scalar event-rate speedup
+#: absolute floor on the vspmd vector-vs-generator event-rate speedup
 #: (the epoch-queue tier must process events >= 5x faster than the
-#: retained scalar heap) enforced by :func:`check_regressions`
+#: per-rank generators on the event heap) enforced by
+#: :func:`check_regressions`
 MIN_RATE_SPEEDUP = 5.0
 
 
@@ -429,19 +431,17 @@ def _case_vspmd(quick: bool, loop_score: float) -> CaseResult:
         backend="julia",
     )
 
-    def run(engine: str):
+    def timed(path):
         t0 = time.perf_counter()
-        result = VirtualWorkflow(
-            settings, nranks=nranks, overlap=True, engine=engine,
-        ).run()
+        result = path(VirtualWorkflow(settings, nranks=nranks, overlap=True))
         return result, time.perf_counter() - t0
 
-    vec, opt_s = run("vector")
-    ref, ref_s = run("scalar")
+    vec, opt_s = timed(VirtualWorkflow.run)
+    ref, ref_s = timed(VirtualWorkflow._run_serial)
 
     # the tier contract: identical reductions, barrier recurrence, and
     # per-rank finish times — events_processed legitimately differs
-    # (the vector tier retires whole epochs per rank, the scalar heap
+    # (the vector tier retires whole epochs per rank, the event heap
     # one delay at a time)
     identical = (
         vec.elapsed_seconds == ref.elapsed_seconds
@@ -937,7 +937,7 @@ def check_regressions(
                 f"absolute {speedup_floor:.1f}x floor"
             )
         # absolute floor on the vector-tier event-rate speedup (no
-        # derate, no tolerance): "the epoch engine is >= 5x the scalar
+        # derate, no tolerance): "the epoch engine is >= 5x the event
         # heap" is the million-rank contract, not a host-relative floor
         rate_floor = base.get("metrics", {}).get("min_rate_speedup")
         cur_rate_speedup = cur.get("metrics", {}).get("rate_speedup")
@@ -948,7 +948,7 @@ def check_regressions(
         ):
             failures.append(
                 f"{name}: vector-tier event rate is only "
-                f"{cur_rate_speedup:.2f}x the scalar reference, below "
+                f"{cur_rate_speedup:.2f}x the generator reference, below "
                 f"the absolute {rate_floor:.1f}x floor"
             )
         # absolute overhead ceilings (no derate, no tolerance): the

@@ -178,9 +178,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
     if args.jobs != 1:
         print("grayscott: --jobs requires --virtual-ranks", file=sys.stderr)
         return 2
-    if args.engine != "auto":
-        print("grayscott: --engine requires --virtual-ranks", file=sys.stderr)
-        return 2
 
     profiler = None
     if args.trace:
@@ -233,15 +230,6 @@ def _run_virtual(args: argparse.Namespace, settings, trace_mode=None) -> int:
     """``run --virtual-ranks N``: event-driven modeled SPMD execution."""
     from repro.core.execute import JobSpec, execute_job
 
-    if args.engine == "vector" and args.nic_contention:
-        print("grayscott: --engine vector is incompatible with "
-              "--nic-contention (use --engine batch or auto)",
-              file=sys.stderr)
-        return 2
-    if args.engine == "vector" and args.sim_profile:
-        print("grayscott: --engine vector is incompatible with "
-              "--sim-profile (use --engine batch or auto)", file=sys.stderr)
-        return 2
     tracer = None
     stream_writer = None
     if args.trace_out and trace_mode != "mono":
@@ -267,7 +255,6 @@ def _run_virtual(args: argparse.Namespace, settings, trace_mode=None) -> int:
     )
     result = execute_job(
         spec, jobs=args.jobs, tracer=tracer, profiler=profiler,
-        engine=args.engine,
     )
     print(result.render())
     if stream_writer is not None:
@@ -895,14 +882,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="with --virtual-ranks: shard the modeled ranks over N worker "
              "processes (0 = all cores); results are bit-identical to "
              "--jobs 1",
-    )
-    p_run.add_argument(
-        "--engine", choices=("auto", "scalar", "batch", "vector"),
-        default="auto",
-        help="with --virtual-ranks: execution tier — scalar heap, "
-             "batch-pop heap, or the NumPy vector engine (auto picks "
-             "vector unless --nic-contention/--sim-profile need engine "
-             "processes); all tiers are bit-identical",
     )
     p_run.add_argument(
         "--jit-cache", metavar="DIR",

@@ -149,16 +149,17 @@ def execute_job(
     tracer=None,
     profiler=None,
     gpu_profiler=None,
-    engine: str = "auto",
 ) -> RunResult:
     """Execute one :class:`JobSpec`; returns the unified result.
 
     ``jobs`` shards virtual-mode ranks over worker processes (results
-    are jobs-invariant, so it is *not* part of the canonical key), and
-    ``engine`` picks the virtual execution tier (also jobs-invariant —
-    every tier is bit-identical; see docs/SCHEDULER.md).
-    ``tracer``/``profiler`` feed virtual mode's engine; workflow mode
-    picks up the ambient :func:`repro.observe.trace.active` tracer.
+    are jobs-invariant, so it is *not* part of the canonical key); the
+    virtual execution path follows from the spec (see
+    :meth:`repro.core.virtual.VirtualWorkflow.run`: NIC contention or
+    a ``profiler`` runs serially on the event engine, anything else on
+    the vector engine). ``tracer``/``profiler`` feed virtual mode;
+    workflow mode picks up the ambient
+    :func:`repro.observe.trace.active` tracer.
     ``gpu_profiler`` is attached to the simulated device of a workflow
     run (the CLI's rocprof-style ``--trace``).
     """
@@ -167,14 +168,14 @@ def execute_job(
     with WallTimer() as timer:
         if spec.mode == "virtual":
             result = _execute_virtual(spec, jobs=jobs, tracer=tracer,
-                                      profiler=profiler, engine=engine)
+                                      profiler=profiler)
         else:
             result = _execute_workflow(spec, gpu_profiler=gpu_profiler)
     result.wall_seconds = timer.elapsed
     return result
 
 
-def _execute_virtual(spec: JobSpec, *, jobs, tracer, profiler, engine) -> RunResult:
+def _execute_virtual(spec: JobSpec, *, jobs, tracer, profiler) -> RunResult:
     from repro.core.virtual import VirtualWorkflow
 
     workflow = VirtualWorkflow(
@@ -184,7 +185,6 @@ def _execute_virtual(spec: JobSpec, *, jobs, tracer, profiler, engine) -> RunRes
         nic_contention=spec.nic_contention,
         tracer=tracer,
         profiler=profiler,
-        engine=engine,
     )
     return RunResult(spec=spec, virtual=workflow.run(jobs=jobs))
 

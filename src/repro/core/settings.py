@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import numbers
 from dataclasses import asdict, dataclass, fields, replace
 from pathlib import Path
@@ -116,7 +117,13 @@ class GrayScottSettings:
             or not 0 <= self.seed < 2**64
         ):
             raise ConfigError(f"seed must be an integer in [0, 2**64) (got {self.seed!r})")
-        # validate the physics eagerly so bad settings files fail at load
+        # validate the physics eagerly so bad settings files fail at load;
+        # a NaN passes every range check of GrayScottParams and would
+        # yield NaN fields
+        for name in ("Du", "Dv", "F", "k", "dt", "noise"):
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise ConfigError(f"{name} must be finite (got {value!r})")
         self.params()
 
     def params(self) -> GrayScottParams:

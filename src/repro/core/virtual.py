@@ -19,9 +19,16 @@ The settings' grid is the **per-rank local block** (the paper's weak
 scaling: 1024^3 cells per GCD at every job size). ``overlap=True``
 models the nonblocking exchange and BP5 async drain: halo traffic rides
 the NIC while the kernel occupies the GCD, and the write of one output
-step streams while the next solve steps run. A 4,096-rank run is 4,096
-generators in one thread; when an :mod:`repro.observe` tracer is active
-every modeled event lands in the exported Perfetto timeline.
+step streams while the next solve steps run.
+
+:meth:`VirtualWorkflow.run` picks one of two paths from the inputs.
+NIC contention or a sim-profiler runs one generator per rank on the
+event engine (:meth:`~VirtualWorkflow._run_serial`); every other run
+advances all ranks one epoch at a time on the NumPy vector engine
+(:meth:`~VirtualWorkflow._run_epochs`), optionally sharded over worker
+processes. Both give the same floats and the same spans. When an
+:mod:`repro.observe` tracer is active every modeled event lands in the
+exported Perfetto timeline.
 """
 
 from __future__ import annotations
@@ -76,9 +83,6 @@ class VirtualWorkflow:
     (16, 2)
     """
 
-    #: execution tiers of :meth:`run`; see docs/SCHEDULER.md
-    ENGINES = ("auto", "scalar", "batch", "vector")
-
     def __init__(
         self,
         settings: GrayScottSettings,
@@ -89,7 +93,6 @@ class VirtualWorkflow:
         machine: MachineSpec = FRONTIER,
         tracer=None,
         profiler=None,
-        engine: str = "auto",
     ):
         from repro.cluster.frontier import extrapolated_machine
         from repro.cluster.placement import Placement
@@ -109,23 +112,6 @@ class VirtualWorkflow:
         #: resource: the node's 8 ranks queue on 4 NICs instead of each
         #: owning a private link (opt-in; changes modeled times)
         self.nic_contention = nic_contention
-        if engine not in self.ENGINES:
-            raise ConfigError(
-                f"unknown virtual engine {engine!r}; use one of {self.ENGINES}"
-            )
-        if engine == "vector" and nic_contention:
-            raise ConfigError(
-                "engine='vector' models ranks independently between "
-                "barriers; nic_contention couples them within a step — "
-                "use engine='batch' (or 'auto')"
-            )
-        if engine == "vector" and profiler is not None:
-            raise ConfigError(
-                "engine='vector' has no per-rank process table for the "
-                "profiler to sample; use engine='batch' (or 'auto')"
-            )
-        #: requested execution tier (see :meth:`_resolve_engine`)
-        self.engine = engine
         #: beyond the real machine, extrapolate: a 1,048,576-rank run
         #: models a Frontier-like machine with enough nodes (per-node
         #: characteristics unchanged)
@@ -135,8 +121,8 @@ class VirtualWorkflow:
         self.machine = machine
         self.tracer = tracer
         #: a :class:`repro.sched.SimProfiler` sampling the rank states
-        #: at virtual-time intervals; forces the serial engine (one
-        #: process table to sample)
+        #: at virtual-time intervals; forces the serial generator path
+        #: (one process table to sample)
         self.profiler = profiler
         self.placement = Placement(self.nranks, machine)
         self.cart_dims = dims_create(self.nranks, 3)
@@ -177,48 +163,26 @@ class VirtualWorkflow:
         return 2 * cells * itemsize * ranks_on_full_node
 
     # -- the run ------------------------------------------------------------
-    def _resolve_engine(self) -> str:
-        """Pick the execution tier for this run (docs/SCHEDULER.md).
-
-        ``auto`` takes the vector tier — bit-identical and fastest —
-        unless a feature needs real engine processes: ``nic_contention``
-        couples ranks within a step, and the profiler samples the
-        process table; both fall back to the batch-pop generator engine.
-        """
-        if self.engine != "auto":
-            return self.engine
-        if self.nic_contention or self.profiler is not None:
-            return "batch"
-        return "vector"
-
     def run(self, *, jobs: int = 1) -> VirtualRunResult:
         """Run the virtual workflow; ``jobs > 1`` shards ranks over workers.
 
-        The sharded path (see :mod:`repro.par` and docs/PARALLEL.md)
-        partitions ranks into node-aligned contiguous shards, simulates
-        each epoch (the steps between two output barriers) of every
-        shard in a separate process, and re-synchronizes at the exact
-        barrier times — ranks only couple at output-step barriers and
-        the final allreduce, so the result is bit-identical to the
-        serial run. ``nic_contention`` couples ranks within every step,
-        so it falls back to the serial engine. The default ``auto``
-        tier runs the epochs through the NumPy vector engine
-        (:mod:`repro.sched.vector`) instead of per-rank generators —
-        same floats, same spans, orders of magnitude fewer Python
-        events.
+        The path follows from the inputs (docs/SCHEDULER.md):
+        ``nic_contention`` couples the ranks of a node within every
+        step, and a profiler samples one process table, so either runs
+        the per-rank generators serially on the event engine
+        (:meth:`_run_serial`). Everything else runs epoch by epoch on
+        the NumPy vector engine (:mod:`repro.sched.vector`), sharded
+        over ``jobs`` workers (see :mod:`repro.par` and
+        docs/PARALLEL.md) — the same floats and spans as the serial
+        generator run, orders of magnitude fewer Python events.
         """
         from repro.par import resolve_jobs
 
         jobs = resolve_jobs(jobs)
-        tier = self._resolve_engine()
-        if tier == "vector":
-            shards = self._shards(jobs) if jobs > 1 else [(0, self.nranks)]
-            return self._run_epochs(jobs, shards, vector=True)
-        if jobs > 1 and not self.nic_contention and self.profiler is None:
-            shards = self._shards(jobs)
-            if len(shards) > 1:
-                return self._run_epochs(jobs, shards, vector=False, pop=tier)
-        return self._run_serial(pop=tier)
+        if self.nic_contention or self.profiler is not None:
+            return self._run_serial()
+        shards = self._shards(jobs) if jobs > 1 else [(0, self.nranks)]
+        return self._run_epochs(jobs, shards)
 
     def _shards(self, jobs: int) -> list[tuple[int, int]]:
         """Split ranks into <= ``jobs`` node-aligned ``(lo, hi)`` ranges.
@@ -251,7 +215,7 @@ class VirtualWorkflow:
             node += take
         return shards
 
-    def _run_serial(self, *, pop: str = "batch") -> VirtualRunResult:
+    def _run_serial(self) -> VirtualRunResult:
         from repro.adios.fsmodel import LustreModel
         from repro.gpu.proxy import (
             VirtualGcd,
@@ -265,7 +229,7 @@ class VirtualWorkflow:
         nranks, nnodes = self.nranks, self.placement.nnodes
         engine = Engine(
             name=f"virtual[{nranks}]", tracer=self.tracer,
-            profiler=self.profiler, pop=pop,
+            profiler=self.profiler,
         )
         jitter = self._kernel_jitter()
         comm = self._comm_seconds()
@@ -376,16 +340,11 @@ class VirtualWorkflow:
             results=spmd.results,
         )
 
-    # -- epoch execution (vector tier and sharded generator tier) -----------
+    # -- epoch execution (the vector tier, serial or sharded) ---------------
     def _run_epochs(
-        self,
-        jobs: int,
-        shards: list[tuple[int, int]],
-        *,
-        vector: bool,
-        pop: str = "batch",
+        self, jobs: int, shards: list[tuple[int, int]]
     ) -> VirtualRunResult:
-        """Epoch-synchronized virtual run (sharded and/or vectorized).
+        """Epoch-synchronized virtual run on the NumPy vector engine.
 
         Ranks couple only at output-step barriers and the final
         allreduce, and the shared OSS resource (capacity == nnodes,
@@ -400,11 +359,10 @@ class VirtualWorkflow:
         verbatim into the parent tracer, so the Perfetto timeline is
         span-identical to the serial run.
 
-        ``vector=True`` advances each epoch with the NumPy engine
-        (:func:`repro.sched.vector.simulate_epoch`) instead of per-rank
-        generators; with ``jobs <= 1`` (or a single shard) the epochs
-        run inline in this process, otherwise each shard ships to a
-        :mod:`repro.par` pool worker exactly like the generator tier.
+        Each epoch of each shard advances with
+        :func:`repro.sched.vector.simulate_epoch`; with ``jobs <= 1``
+        (or a single shard) the epochs run inline in this process,
+        otherwise each shard ships to a :mod:`repro.par` pool worker.
         """
         from repro import observe
         from repro.gpu.proxy import grayscott_launch_cost, jit_compile_seconds
@@ -416,9 +374,9 @@ class VirtualWorkflow:
         nranks, nnodes = self.nranks, self.placement.nnodes
         tracer = self.tracer if self.tracer is not None else observe.active()
         trace = tracer is not None
-        #: vector epochs run inline (no pool) for a single job/shard —
-        #: spans go straight into the parent tracer
-        inline = vector and (jobs <= 1 or len(shards) <= 1)
+        #: epochs run inline (no pool) for a single job/shard — spans
+        #: go straight into the parent tracer
+        inline = jobs <= 1 or len(shards) <= 1
         # streaming mode: workers write their own shard files into the
         # parent stream's directory and ship back manifest entries only;
         # the span lists never cross the pickle boundary
@@ -471,8 +429,6 @@ class VirtualWorkflow:
                     "overlap": self.overlap,
                     "machine": self.machine,
                     "trace": trace,
-                    "vector": vector,
-                    "pop": pop,
                     "stream": (
                         worker_shard_spec(sink, f"w{seg_idx:03d}.{s:02d}")
                         if sink is not None else None
@@ -525,10 +481,9 @@ class VirtualWorkflow:
             tracer.metrics.gauge(
                 "sched.events_processed", engine=f"virtual[{nranks}]"
             ).set(total_events)
-            if vector:
-                tracer.metrics.counter(
-                    "sched.vector_events", engine=f"virtual[{nranks}]"
-                ).inc(total_events)
+            tracer.metrics.counter(
+                "sched.vector_events", engine=f"virtual[{nranks}]"
+            ).inc(total_events)
         return VirtualRunResult(
             nranks=nranks,
             nnodes=nnodes,
@@ -549,12 +504,11 @@ class VirtualWorkflow:
     def _vector_segment(self, payload: dict, *, tracer=None) -> dict:
         """Advance one epoch of one shard with the NumPy vector engine.
 
-        Same payload contract as :meth:`_simulate_segment`, same float
-        recurrences (see :mod:`repro.sched.vector`), none of the
-        per-rank generator machinery. With ``tracer`` (inline mode) the
-        epoch's spans go straight into the caller's tracer; in a pool
-        worker they stream to a worker shard sink or ship back as a
-        span list, exactly like the generator tier.
+        The float recurrences of the per-rank generators in
+        :meth:`_run_serial` (see :mod:`repro.sched.vector`), none of
+        their machinery. With ``tracer`` (inline mode) the epoch's
+        spans go straight into the caller's tracer; in a pool worker
+        they stream to a worker shard sink or ship back as a span list.
         """
         from repro.adios.fsmodel import LustreModel
         from repro.gpu.backends import get_backend
@@ -661,126 +615,6 @@ class VirtualWorkflow:
             "events": result.events,
         }
 
-    def _simulate_segment(self, payload: dict) -> dict:
-        """Simulate one epoch of one shard (runs inside a pool worker)."""
-        from repro.adios.fsmodel import LustreModel
-        from repro.gpu.proxy import VirtualGcd, grayscott_launch_cost
-        from repro.observe.trace import Tracer
-        from repro.sched import Delay, Engine, Join, UsePlan, use
-
-        settings = self.settings
-        lo, hi = payload["lo"], payload["hi"]
-        seg = payload["seg"]
-        overlap = self.overlap
-        nranks, nnodes = self.nranks, self.placement.nnodes
-        trace = payload["trace"]
-        stream = payload.get("stream")
-        wsink = None
-        if trace and stream is not None:
-            from repro.observe.stream import open_worker_sink
-
-            # streaming worker: spans flush straight to this worker's
-            # own shard files (retain=False — the list never grows)
-            wsink = open_worker_sink(stream)
-            tracer = Tracer(sinks=[wsink], retain=False)
-        else:
-            tracer = Tracer() if trace else None
-        # mirror=False when untraced keeps the engine from picking up a
-        # pool-harness tracer via observe.active(); events_gauge=False
-        # because partial shard counts must not collide on the parent
-        # engine's gauge label after the merge
-        engine = Engine(
-            name=f"virtual[{nranks}]", tracer=tracer, mirror=trace,
-            events_gauge=False, pop=payload.get("pop", "batch"),
-        )
-        starts = payload["starts"]
-        scale = payload["scale"]
-        comm = payload["comm"]
-        sent_comm = comm is None
-        if comm is None:
-            comm = self._comm_slice(lo, hi)
-        lustre = LustreModel(self.machine, seed=settings.seed)
-        bytes_per_node = self._bytes_per_node()
-        oss = engine.resource(
-            "lustre-oss", capacity=nnodes, lane=("lustre-oss", "write")
-        )
-        launch_cost = grayscott_launch_cost(self.local_shape, settings.backend)
-        leaders: dict[int, int] = {}
-        for r in range(hi - 1, lo - 1, -1):
-            leaders[self.placement.location(r).node] = r
-        out_prev = seg["out_prev"]
-        writes: dict[int, object] = {}
-        arrivals = np.empty(hi - lo)
-
-        def program(idx, rank):
-            node = self.placement.location(rank).node
-            gcd = VirtualGcd(
-                engine, rank, shape=self.local_shape,
-                backend=settings.backend, machine=self.machine,
-                launch_cost=launch_cost,
-            )
-            nic = engine.resource(f"nic{rank}", lane=(f"vrank{rank}", "mpi"))
-            sc = float(scale[idx])
-            comm_s = float(comm[idx])
-            halo_plan = UsePlan(nic, comm_s, label="halo", cat="mpi")
-            halo_name = f"vrank{rank}.halo"
-            halo_lane = (f"vrank{rank}", "mpi")
-            start = float(starts[idx])
-            if start > 0.0:
-                # unlabeled, so the bridge to this rank's epoch start
-                # time is not mirrored; 0.0 + start == start exactly,
-                # so shard clocks land on the serial engine's floats
-                yield Delay(start)
-            if seg["do_jit"]:
-                yield from gcd.jit()
-            wproc = None
-            if out_prev is not None and leaders[node] == rank:
-                seconds = lustre.write_seconds_per_node(
-                    nnodes, bytes_per_node, sample=f"{out_prev}:{node}"
-                )
-                write = use(
-                    oss, seconds, label="bp5.write", cat="adios",
-                    args={"node": node, "output_step": out_prev},
-                )
-                if overlap:
-                    wproc = engine.spawn(
-                        f"node{node}.write{out_prev}", write,
-                        lane=(f"node{node}", "adios"),
-                    )
-                    writes[node] = wproc
-                else:
-                    yield from write
-            for _step in range(seg["step_lo"], seg["step_hi"] + 1):
-                if overlap:
-                    halo = engine.spawn(
-                        halo_name, halo_plan.use(), lane=halo_lane
-                    )
-                    yield from gcd.kernel(sc)
-                    yield Join(halo)
-                else:
-                    yield from gcd.kernel(sc)
-                    yield from halo_plan.use()
-            if seg["final"] and wproc is not None:
-                yield Join(wproc)
-            arrivals[idx] = engine.now
-
-        for idx, rank in enumerate(range(lo, hi)):
-            engine.spawn(
-                f"vrank{rank}", program(idx, rank), lane=(f"vrank{rank}", "core")
-            )
-        engine.run()
-        engine.check_quiescent()
-        return {
-            "arrivals": arrivals,
-            "write_ends": {
-                node: float(proc.finished_at) for node, proc in writes.items()
-            },
-            "comm": comm if sent_comm else None,
-            "spans": list(tracer.spans) if trace and wsink is None else None,
-            "shards": wsink.finish() if wsink is not None else None,
-            "events": engine.events_processed,
-        }
-
 
 def _virtual_segment_task(payload: dict) -> dict:
     """Pool task: rebuild the workflow in the worker and run one segment."""
@@ -790,6 +624,4 @@ def _virtual_segment_task(payload: dict) -> dict:
         overlap=payload["overlap"],
         machine=payload["machine"],
     )
-    if payload.get("vector"):
-        return wf._vector_segment(payload)
-    return wf._simulate_segment(payload)
+    return wf._vector_segment(payload)

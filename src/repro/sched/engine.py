@@ -441,12 +441,6 @@ class Engine:
     and untraced runs pay one attribute read per event.
     """
 
-    #: event-pop strategies: ``"batch"`` drains every event sharing the
-    #: current timestamp in one amortized pass, ``"scalar"`` is the
-    #: one-heappop-per-event reference loop (bit-identical dispatch
-    #: order — asserted by the engine-tier property tests)
-    POPS = ("batch", "scalar")
-
     def __init__(
         self,
         *,
@@ -454,14 +448,9 @@ class Engine:
         clock: SimClock | None = None,
         tracer: observe.Tracer | None = None,
         mirror: bool = True,
-        events_gauge: bool = True,
         profiler=None,
-        pop: str = "batch",
     ):
-        if pop not in self.POPS:
-            raise SchedError(f"unknown pop strategy {pop!r}; use {self.POPS}")
         self.name = name
-        self.pop = pop
         self.clock = clock if clock is not None else SimClock()
         self.tracer = tracer
         self.mirror = mirror
@@ -470,16 +459,11 @@ class Engine:
         #: the run loop then pays a single float compare per clock
         #: advance against +inf)
         self.profiler = profiler
-        #: shard engines of a process-parallel run disable the
-        #: events-processed gauge: their partial counts would collide
-        #: on the parent engine's label after the trace merge
-        self.events_gauge = events_gauge
         self.events_processed = 0
         self.spans_mirrored = 0
-        #: tier-usage accounting, mirrored to the observe metrics
-        #: registry after every :meth:`run` (see docs/SCHEDULER.md)
+        #: heap accounting, mirrored to the observe metrics registry
+        #: after every :meth:`run` (see docs/SCHEDULER.md)
         self.heap_pushes = 0
-        self.batch_pops = 0
         self._queue: list[tuple[float, int, Callable, object]] = []
         self._seq = 0
         self._inline_depth = 0
@@ -602,20 +586,9 @@ class Engine:
     def run(self, *, until: float | None = None) -> float:
         """Drain the event queue (or stop at ``until``); returns the time.
 
-        ``pop="batch"`` (the default) drains every event sharing the
-        current timestamp in one amortized pass — the per-event ``until``
-        and clock-advance checks are hoisted out of the same-instant
-        run, which is where a virtual-SPMD event storm spends its life
-        (every rank resuming at one barrier instant is a single batch).
-        ``pop="scalar"`` is the retained one-heappop-per-event reference
-        loop; both dispatch events in identical (time, seq) order.
+        One heappop and one dispatch per event, in ``(time, seq)``
+        order.
         """
-        if self.pop == "scalar":
-            return self._run_scalar(until)
-        return self._run_batch(until)
-
-    def _run_scalar(self, until: float | None) -> float:
-        """Reference drain loop: one heappop + dispatch per event."""
         queue = self._queue
         clock = self.clock
         heappop = heapq.heappop
@@ -639,9 +612,9 @@ class Engine:
                     clock.advance_to(until, strict=True)
                     return clock.now
                 when, _, fn, arg = heappop(queue)
-                # same-timestamp events dispatch in a batch without
-                # touching the clock (the common case: resumptions and
-                # zero-latency deliveries at the current instant)
+                # same-timestamp events dispatch without touching the
+                # clock (the common case: resumptions and zero-latency
+                # deliveries at the current instant)
                 if when > clock.now:
                     # sample the idle gap before crossing it: the
                     # profiler attributes it to the states processes
@@ -661,65 +634,10 @@ class Engine:
         self._report_run()
         return self.clock.now
 
-    def _run_batch(self, until: float | None) -> float:
-        """Batch drain loop: one amortized pass per distinct timestamp.
-
-        Equal-time heap entries are popped into a batch and dispatched
-        back-to-back. Dispatch can only push events at ``>= now`` with
-        larger sequence numbers, so anything it adds at the *current*
-        instant lands in the next batch — total (time, seq) dispatch
-        order is exactly the scalar loop's.
-        """
-        queue = self._queue
-        clock = self.clock
-        heappop = heapq.heappop
-        no_arg = _NO_ARG
-        events = 0
-        batches = 0
-        batch: list = []
-        profiler = self.profiler
-        next_sample = math.inf if profiler is None else profiler.next_sample
-        gc_was_enabled = gc.isenabled()
-        if gc_was_enabled:
-            gc.disable()
-        try:
-            while queue:
-                when = queue[0][0]
-                if until is not None and when > until:
-                    if until >= next_sample:
-                        next_sample = profiler.advance(self, until)
-                    clock.advance_to(until, strict=True)
-                    return clock.now
-                if when > clock.now:
-                    if when >= next_sample:
-                        next_sample = profiler.advance(self, when)
-                    clock.advance_to(when, strict=True)
-                # drain the run of equal-time entries in one pass; the
-                # per-event until/clock checks above are paid once per
-                # *timestamp*, not once per event
-                batch.clear()
-                append = batch.append
-                while queue and queue[0][0] == when:
-                    append(heappop(queue))
-                batches += 1
-                events += len(batch)
-                for _, _, fn, arg in batch:
-                    if arg is no_arg:
-                        fn()
-                    else:
-                        fn(arg)
-        finally:
-            if gc_was_enabled:
-                gc.enable()
-            self.events_processed += events
-            self.batch_pops += batches
-        self._report_run()
-        return self.clock.now
-
     def _report_run(self) -> None:
         """Mirror engine accounting into the observe metrics registry."""
         tracer = self._tracer()
-        if tracer is None or not self.events_gauge:
+        if tracer is None:
             return
         metrics = tracer.metrics
         metrics.gauge(
@@ -728,9 +646,6 @@ class Engine:
         pushes = metrics.counter("sched.heap_pushes", engine=self.name)
         if self.heap_pushes > pushes.value:
             pushes.inc(self.heap_pushes - pushes.value)
-        pops = metrics.counter("sched.batch_pops", engine=self.name)
-        if self.batch_pops > pops.value:
-            pops.inc(self.batch_pops - pops.value)
 
     def unfinished(self) -> list[Process]:
         """Processes that did not run to completion (stuck or not started)."""

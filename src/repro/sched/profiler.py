@@ -18,7 +18,7 @@ Brendan Gregg's ``flamegraph.pl`` and of speedscope. With the default
 stays a few dozen lines no matter the rank count.
 
 Cost model: the engine's hot event loop pays one float compare per
-clock advance (nothing at all per same-time event batch); the walk of
+clock advance (nothing at all per same-time event); the walk of
 the process table happens only at sample instants, so the overhead is
 ``samples x live processes``, controlled entirely by ``interval``.
 

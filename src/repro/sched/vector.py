@@ -11,7 +11,7 @@ an **epoch**.
 
 :func:`simulate_epoch` advances a whole epoch with a handful of NumPy
 array operations instead of ~4 heap events per rank per step. The
-float arithmetic replicates the scalar engine's op-for-op:
+float arithmetic replicates the event engine's op-for-op:
 
 - a kernel-then-exchange step is ``t = (t + kernel) + comm`` (two
   IEEE-754 additions per rank, the same two the engine's ``Delay``
@@ -31,7 +31,7 @@ to the generator engine's, which the property tests in
 Tracing replays through an :class:`EpochEventQueue`: a structured array
 of ``(when, seq, rank, op)`` plus parallel seconds/tag columns, filled
 by the vector loops and drained in ``(when, seq)`` order — the same
-(time, FIFO) order the scalar heap dispatches in — into
+(time, FIFO) order the event heap dispatches in — into
 :class:`~repro.observe.trace.SpanRecord` batches
 (:func:`emit_epoch_spans`). Untraced runs skip the queue entirely.
 """
@@ -67,7 +67,7 @@ class EpochEventQueue:
     Each :meth:`push` stores one vectorized batch (same opcode, one
     entry per rank); :meth:`sorted_events` concatenates the batches and
     orders them by ``(when, seq)``, reproducing the dispatch order of
-    the scalar heap for the same schedule.
+    the event heap for the same schedule.
     """
 
     def __init__(self) -> None:
@@ -159,9 +159,9 @@ def simulate_epoch(
             f"starts={n} kernel={spec.kernel.size} "
             f"comm={spec.comm.size} ranks={spec.ranks.size}"
         )
-    # one spawn event per rank, plus the bridge delay of every rank
-    # whose epoch starts after t=0 (the scalar shard engine's unlabeled
-    # Delay(start))
+    # one spawn event per rank, plus a bridge event for every rank
+    # whose epoch starts after t=0 (a generator rank spawned at t=0
+    # would first wait out an unlabeled Delay(start))
     t = spec.starts.astype(np.float64, copy=True)
     events = n + int(np.count_nonzero(t))
     if spec.jit_seconds > 0.0:
@@ -222,7 +222,7 @@ def emit_epoch_spans(
 
     Records are emitted in ``(when, seq)`` order through the tracer's
     bulk :meth:`~repro.observe.trace.Tracer.add_spans` path. The span
-    fields replicate the scalar engine's mirroring exactly — same
+    fields replicate the event engine's mirroring exactly — same
     names, categories, lanes, and args as the ``Delay`` commands of
     :class:`~repro.gpu.proxy.VirtualGcd` and the BP5 write plan — so
     the span *multiset* of a vector run equals the generator run's.

@@ -65,6 +65,12 @@ class TestSettings:
         with pytest.raises(ConfigError, match=r"seed must be an integer in \[0, 2\*\*64\)"):
             GrayScottSettings.from_json('{"L": 8, "seed": -1}')
 
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+    @pytest.mark.parametrize("name", ["Du", "Dv", "F", "k", "dt", "noise"])
+    def test_non_finite_physics_rejected(self, name, value):
+        with pytest.raises(ConfigError, match=f"{name} must be finite"):
+            GrayScottSettings(**{name: value})
+
     def test_physics_validated_at_load(self):
         with pytest.raises(ConfigError, match="unstable"):
             GrayScottSettings(Du=0.9, dt=2.0)

@@ -1,17 +1,19 @@
-"""The vector tier: epoch queues, engine-tier bit-identity, sharding.
+"""The vector tier: epoch queues, path bit-identity, sharding.
 
 The million-rank contract has three layers, each pinned here:
 
-1. ``Engine(pop="batch")`` dispatches in exactly the scalar heap's
-   ``(time, seq)`` order under arbitrary Delay/Wait/Join schedules
-   (hypothesis-driven);
+1. the event heap fires same-time events FIFO and reports its pushes
+   to the metrics registry;
 2. :func:`repro.sched.vector.simulate_epoch` reproduces a pure-Python
    reference recurrence bit for bit, and the epoch queue replays spans
    in heap dispatch order;
-3. all four ``VirtualWorkflow`` tiers — and ``jobs=1`` vs. sharded
-   ``jobs=8`` — agree on every modeled output (reductions, barrier
-   recurrences, per-rank finish times, SIM span multisets), with
-   ``events_processed`` the one documented exclusion.
+3. ``VirtualWorkflow.run()`` (the vector tier, serial or sharded)
+   agrees with ``_run_serial()`` (per-rank generators on the event
+   heap) on every modeled output (reductions, barrier recurrences,
+   per-rank finish times, SIM span multisets), with
+   ``events_processed`` the one documented exclusion; the inputs that
+   need the generators (NIC contention, a profiler) run serially
+   whatever ``jobs`` says.
 """
 
 import numpy as np
@@ -23,15 +25,13 @@ from repro.core.settings import GrayScottSettings
 from repro.core.virtual import VirtualWorkflow
 from repro.observe.trace import SIM, Tracer
 from repro.sched import (
-    Delay,
     Engine,
     EpochEventQueue,
     EpochSpec,
     EpochWrites,
-    Join,
     simulate_epoch,
 )
-from repro.util.errors import ConfigError, SchedError
+from repro.util.errors import SchedError
 
 
 def _settings(**kw):
@@ -49,84 +49,27 @@ def _sim_spans(tracer):
     )
 
 
-# -- 1. batch pops vs the scalar heap ----------------------------------------
-
-
-schedules = st.lists(
-    st.lists(
-        st.tuples(
-            st.floats(0.0, 16.0, allow_nan=False, allow_infinity=False),
-            st.booleans(),  # spawn a child and Join it?
-        ),
-        min_size=1,
-        max_size=5,
-    ),
-    min_size=1,
-    max_size=8,
-)
-
-
-def _run_schedule(schedule, pop):
-    """Run a random Delay/Join schedule; returns the full trajectory."""
-    engine = Engine(mirror=False, pop=pop)
-    fired = []
-
-    def child(seconds, tag):
-        yield Delay(seconds)
-        fired.append(("child", tag, engine.now))
-
-    def program(pid, steps):
-        for i, (seconds, overlap) in enumerate(steps):
-            if overlap:
-                spawned = engine.spawn(
-                    f"p{pid}.c{i}", child(seconds, (pid, i))
-                )
-                yield Delay(seconds / 2.0)
-                yield Join(spawned)
-            else:
-                yield Delay(seconds)
-            fired.append(("step", (pid, i), engine.now))
-
-    procs = [
-        engine.spawn(f"p{pid}", program(pid, steps))
-        for pid, steps in enumerate(schedule)
-    ]
-    end = engine.run()
-    engine.check_quiescent()
-    return end, fired, [p.finished_at for p in procs]
+# -- 1. the event heap ---------------------------------------------------------
 
 
 class TestBatchPop:
-    @given(schedules)
-    @settings(max_examples=60, deadline=None)
-    def test_batch_and_scalar_trajectories_identical(self, schedule):
-        assert _run_schedule(schedule, "batch") == _run_schedule(
-            schedule, "scalar"
-        )
-
     def test_same_time_ties_fire_fifo(self):
-        engine = Engine(mirror=False, pop="batch")
+        engine = Engine(mirror=False)
         fired = []
         for i in range(100):
             engine.schedule(1.0, lambda i=i: fired.append(i))
         engine.run()
         assert fired == list(range(100))
 
-    def test_unknown_pop_rejected(self):
-        with pytest.raises(SchedError, match="pop strategy"):
-            Engine(pop="quantum")
-
     def test_counters_reach_the_metrics_registry(self):
         tracer = Tracer()
-        engine = Engine(name="counted", tracer=tracer, pop="batch")
+        engine = Engine(name="counted", tracer=tracer)
         for _ in range(10):
             engine.schedule(1.0, lambda: None)
         engine.run()
         pushes = tracer.metrics.counter("sched.heap_pushes", engine="counted")
-        pops = tracer.metrics.counter("sched.batch_pops", engine="counted")
         assert pushes.value == engine.heap_pushes == 10
-        # ten same-time events drain in one amortized batch
-        assert pops.value == engine.batch_pops == 1
+        assert engine.events_processed == 10
 
 
 # -- 2. the epoch queue and the vector recurrence ----------------------------
@@ -250,15 +193,17 @@ class TestVectorEpoch:
         assert sorted(set(int(e["op"]) for e in events)) == [1, 2]
 
 
-# -- 3. engine tiers are bit-identical at the workflow level -----------------
+# -- 3. the two workflow paths are bit-identical ------------------------------
 
 
-def _traced_run(engine, *, overlap, jobs=1, nranks=32, **settings_kw):
+def _traced_run(*, overlap, jobs=1, nranks=32, serial=False, **settings_kw):
+    """``run(jobs=...)``, or ``_run_serial()`` when ``serial``."""
     tracer = Tracer()
-    result = VirtualWorkflow(
+    workflow = VirtualWorkflow(
         _settings(**settings_kw), nranks=nranks, overlap=overlap,
-        tracer=tracer, engine=engine,
-    ).run(jobs=jobs)
+        tracer=tracer,
+    )
+    result = workflow._run_serial() if serial else workflow.run(jobs=jobs)
     return result, tracer
 
 
@@ -272,59 +217,48 @@ def _assert_same_model(a, b):
 
 
 class TestEngineTiers:
-    def test_unknown_tier_rejected(self):
-        with pytest.raises(ConfigError, match="engine"):
-            VirtualWorkflow(_settings(), nranks=4, engine="warp")
-
-    def test_vector_refuses_nic_contention(self):
-        with pytest.raises(ConfigError, match="nic"):
-            VirtualWorkflow(
-                _settings(), nranks=4, nic_contention=True, engine="vector"
-            )
-
-    def test_vector_refuses_profiler(self):
+    def test_auto_resolves_vector_unless_coupled(self, monkeypatch):
         from repro.sched import SimProfiler
 
-        with pytest.raises(ConfigError, match="profiler"):
-            VirtualWorkflow(
-                _settings(), nranks=4, profiler=SimProfiler(interval=0.1),
-                engine="vector",
-            )
-
-    def test_auto_resolves_vector_unless_coupled(self):
-        assert VirtualWorkflow(_settings(), nranks=4)._resolve_engine() == (
-            "vector"
+        taken = []
+        monkeypatch.setattr(
+            VirtualWorkflow, "_run_serial", lambda wf: taken.append("serial")
         )
-        assert VirtualWorkflow(
-            _settings(), nranks=4, nic_contention=True
-        )._resolve_engine() == "batch"
+        monkeypatch.setattr(
+            VirtualWorkflow, "_run_epochs",
+            lambda wf, jobs, shards: taken.append("vector"),
+        )
+        VirtualWorkflow(_settings(), nranks=4).run()
+        VirtualWorkflow(_settings(), nranks=4, nic_contention=True).run()
+        VirtualWorkflow(
+            _settings(), nranks=4, profiler=SimProfiler(interval=0.1)
+        ).run(jobs=2)
+        assert taken == ["vector", "serial", "serial"]
 
     @pytest.mark.parametrize("overlap", [False, True])
     def test_all_tiers_bit_identical(self, overlap):
-        scalar, scalar_tr = _traced_run("scalar", overlap=overlap)
-        batch, batch_tr = _traced_run("batch", overlap=overlap)
-        vector, vector_tr = _traced_run("vector", overlap=overlap)
-        _assert_same_model(scalar, batch)
-        _assert_same_model(scalar, vector)
-        reference = _sim_spans(scalar_tr)
-        assert _sim_spans(batch_tr) == reference
-        assert _sim_spans(vector_tr) == reference
+        serial, serial_tr = _traced_run(overlap=overlap, serial=True)
+        vector, vector_tr = _traced_run(overlap=overlap)
+        _assert_same_model(serial, vector)
+        assert _sim_spans(vector_tr) == _sim_spans(serial_tr)
 
     def test_tail_steps_and_no_output_epochs(self):
         # steps % plotgap != 0 (tail segment) and steps < plotgap (the
-        # only output is the final one) both cross the tiers unchanged
+        # only output is the final one) both cross the paths unchanged
         for steps, plotgap in ((5, 2), (3, 5)):
-            scalar, scalar_tr = _traced_run(
-                "scalar", overlap=True, steps=steps, plotgap=plotgap
-            )
-            vector, vector_tr = _traced_run(
-                "vector", overlap=True, steps=steps, plotgap=plotgap
-            )
-            _assert_same_model(scalar, vector)
-            assert _sim_spans(vector_tr) == _sim_spans(scalar_tr)
+            for overlap in (False, True):
+                serial, serial_tr = _traced_run(
+                    overlap=overlap, serial=True, steps=steps,
+                    plotgap=plotgap,
+                )
+                vector, vector_tr = _traced_run(
+                    overlap=overlap, steps=steps, plotgap=plotgap
+                )
+                _assert_same_model(serial, vector)
+                assert _sim_spans(vector_tr) == _sim_spans(serial_tr)
 
     def test_vector_events_counter_recorded(self):
-        _, tracer = _traced_run("vector", overlap=True)
+        _, tracer = _traced_run(overlap=True)
         counter = tracer.metrics.counter(
             "sched.vector_events", engine="virtual[32]"
         )
@@ -341,20 +275,46 @@ class TestEngineTiers:
 
 class TestShardedVector:
     def test_jobs_invariant_at_4096(self):
-        serial, serial_tr = _traced_run("vector", overlap=True, nranks=4096,
+        serial, serial_tr = _traced_run(overlap=True, nranks=4096,
                                         steps=4, plotgap=2)
-        sharded, sharded_tr = _traced_run("vector", overlap=True, jobs=8,
+        sharded, sharded_tr = _traced_run(overlap=True, jobs=8,
                                           nranks=4096, steps=4, plotgap=2)
         _assert_same_model(serial, sharded)
         assert _sim_spans(sharded_tr) == _sim_spans(serial_tr)
 
-    def test_generator_and_vector_shards_agree(self):
-        batch, batch_tr = _traced_run("batch", overlap=True, jobs=4,
-                                      nranks=256)
-        vector, vector_tr = _traced_run("vector", overlap=True, jobs=4,
-                                        nranks=256)
-        _assert_same_model(batch, vector)
-        assert _sim_spans(vector_tr) == _sim_spans(batch_tr)
+    def test_sharded_vector_matches_serial(self):
+        serial, serial_tr = _traced_run(overlap=True, nranks=256,
+                                        serial=True)
+        vector, vector_tr = _traced_run(overlap=True, jobs=4, nranks=256)
+        _assert_same_model(serial, vector)
+        assert _sim_spans(vector_tr) == _sim_spans(serial_tr)
+
+    def test_nic_contention_ignores_jobs(self):
+        def workflow():
+            return VirtualWorkflow(
+                _settings(), nranks=32, overlap=True, nic_contention=True,
+            )
+
+        serial = workflow()._run_serial()
+        for jobs in (1, 4):
+            run = workflow().run(jobs=jobs)
+            _assert_same_model(run, serial)
+            assert run.events_processed == serial.events_processed
+
+    def test_profiler_runs_serially_and_samples(self):
+        from repro.sched import SimProfiler
+
+        profiler = SimProfiler(interval=0.001)
+        result = VirtualWorkflow(
+            _settings(), nranks=32, overlap=True, profiler=profiler,
+        ).run(jobs=2)
+        assert profiler.samples_taken > 0
+        # the generator path's event count, not the vector tier's
+        reference = VirtualWorkflow(
+            _settings(), nranks=32, overlap=True,
+        )._run_serial()
+        _assert_same_model(result, reference)
+        assert result.events_processed == reference.events_processed
 
     @pytest.mark.slow
     def test_jobs_invariant_at_262144(self):

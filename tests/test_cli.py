@@ -29,6 +29,12 @@ class TestCliRun:
         assert main(["run", str(path)]) == 1
         assert "seed must be an integer" in capsys.readouterr().err
 
+    def test_run_nan_physics_exits_1(self, tmp_path, capsys):
+        path = tmp_path / "nan.json"
+        path.write_text('{"L": 8, "steps": 2, "noise": NaN}')
+        assert main(["run", str(path)]) == 1
+        assert "noise must be finite" in capsys.readouterr().err
+
 
 class TestCliAnalyze:
     def test_analyze_dataset(self, settings_file, tmp_path, capsys):
@@ -372,35 +378,18 @@ class TestCliVirtual:
         assert main(["run", str(path), "--nic-contention"]) == 2
         assert "--virtual-ranks" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("engine", ["scalar", "batch", "vector"])
-    def test_engine_tiers_run(self, tmp_path, capsys, engine):
+    def test_nic_contention_stdout_jobs_invariant(self, tmp_path, capsys):
+        # NIC contention always runs serially: --jobs changes nothing
         path = self._gpu_settings(tmp_path)
-        assert main([
-            "run", str(path), "--virtual-ranks", "16", "--overlap",
-            "--engine", engine,
-        ]) == 0
-        assert "virtual SPMD run: 16 ranks" in capsys.readouterr().out
-
-    def test_engine_requires_virtual_ranks(self, tmp_path, capsys):
-        path = self._gpu_settings(tmp_path)
-        assert main(["run", str(path), "--engine", "vector"]) == 2
-        assert "--virtual-ranks" in capsys.readouterr().err
-
-    def test_vector_engine_rejects_nic_contention(self, tmp_path, capsys):
-        path = self._gpu_settings(tmp_path)
-        assert main([
-            "run", str(path), "--virtual-ranks", "8",
-            "--engine", "vector", "--nic-contention",
-        ]) == 2
-        assert "--nic-contention" in capsys.readouterr().err
-
-    def test_vector_engine_rejects_sim_profile(self, tmp_path, capsys):
-        path = self._gpu_settings(tmp_path)
-        assert main([
-            "run", str(path), "--virtual-ranks", "8",
-            "--engine", "vector", "--sim-profile", str(tmp_path / "p.folded"),
-        ]) == 2
-        assert "--sim-profile" in capsys.readouterr().err
+        outs = []
+        for jobs in ("1", "2"):
+            assert main([
+                "run", str(path), "--virtual-ranks", "8", "--nic-contention",
+                "--jobs", jobs,
+            ]) == 0
+            outs.append(capsys.readouterr().out)
+        assert outs[0] == outs[1]
+        assert "virtual SPMD run: 8 ranks" in outs[0]
 
 
 class TestCliStreaming:
