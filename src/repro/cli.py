@@ -243,9 +243,15 @@ def _run_virtual(args: argparse.Namespace, settings, trace_mode=None) -> int:
         from repro.sched import SimProfiler
 
         profiler = SimProfiler(args.sim_profile_interval)
-        if args.jobs != 1:
-            print("grayscott: --sim-profile samples one engine; "
-                  "running serially (--jobs ignored)", file=sys.stderr)
+    # the inputs that force VirtualWorkflow._run_serial
+    serial_reason = (
+        "--sim-profile samples one engine" if args.sim_profile
+        else "--nic-contention couples the ranks of a node" if args.nic_contention
+        else None
+    )
+    if serial_reason and args.jobs != 1:
+        print(f"grayscott: {serial_reason}; running serially (--jobs ignored)",
+              file=sys.stderr)
     spec = JobSpec(
         settings=settings,
         mode="virtual",

@@ -17,6 +17,7 @@ gallery example.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 
 from repro.util.errors import ConfigError
@@ -34,6 +35,11 @@ class GrayScottParams:
     dt: float = 1.0
 
     def __post_init__(self) -> None:
+        # a NaN passes every range check below and would yield NaN fields
+        for name in ("Du", "Dv", "F", "k", "dt", "noise"):
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise ConfigError(f"{name} must be finite (got {value!r})")
         if self.Du < 0 or self.Dv < 0:
             raise ConfigError(f"diffusion rates must be >= 0 (Du={self.Du}, Dv={self.Dv})")
         if self.F < 0 or self.k < 0:

@@ -40,7 +40,7 @@ from repro.gpu.kernel import LaunchConfig
 from repro.gpu.memory import Device, DeviceArray
 from repro.gpu.rocprof import Profiler
 from repro.mpi.cart import CartComm, dims_create
-from repro.mpi.comm import Comm
+from repro.mpi.comm import PROC_NULL, Comm
 from repro.observe import trace as observe
 from repro.util.errors import ConfigError
 from repro.util.timers import Stopwatch
@@ -187,35 +187,17 @@ class Simulation:
                 else:
                     mirror_ghosts(field)
         else:
-            from repro.core.exchange import exchange_ghosts_nonblocking
-
-            do_exchange = (
-                exchange_ghosts_nonblocking
-                if self.settings.exchange == "overlapped"
-                else exchange_ghosts
-            )
-            do_exchange(self.cart, self.u, self.face_specs)
-            do_exchange(self.cart, self.v, self.face_specs)
+            for field in (self.u, self.v):
+                exchange_ghosts(self.cart, field, self.face_specs, self.settings.exchange)
             if not periodic:
                 # faces on the global boundary got no message
                 # (PROC_NULL); zero-flux walls mirror locally instead
-                sides = self._global_boundary_faces()
-                if sides:
-                    mirror_ghosts(self.u, sides=sides)
-                    mirror_ghosts(self.v, sides=sides)
+                walls = {face for face, peer in self.cart.neighbors().items()
+                         if peer == PROC_NULL}
+                mirror_ghosts(self.u, sides=walls)
+                mirror_ghosts(self.v, sides=walls)
         if self.device is not None:
             self._record_face_staging("H2D")
-
-    def _global_boundary_faces(self) -> set[tuple[int, int]]:
-        coords = self.domain.coords
-        dims = self.domain.cart_dims
-        sides: set[tuple[int, int]] = set()
-        for axis in range(3):
-            if coords[axis] == 0:
-                sides.add((axis, -1))
-            if coords[axis] == dims[axis] - 1:
-                sides.add((axis, +1))
-        return sides
 
     def _record_face_staging(self, kind: str) -> None:
         """Model the GPU<->CPU copies around a host-memory MPI exchange."""

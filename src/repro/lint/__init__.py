@@ -50,12 +50,12 @@ from repro.lint.kernels import (
 from repro.lint.mpiplan import (
     CommPlan,
     PlanOp,
-    cart_shift,
     check_plan,
     halo_exchange_plan,
 )
 from repro.lint.report import exit_code, render_text, to_sarif
 from repro.lint.runner import lint_workflow
+from repro.mpi.cart import cart_shift
 
 __all__ = [
     "RULES",

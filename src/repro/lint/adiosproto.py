@@ -103,7 +103,7 @@ def writer_script_for(settings) -> WriterScript:
     from repro.mpi.cart import dims_create
 
     nranks = max(int(settings.ranks), 1)
-    dims = dims_create(nranks, 3) if nranks > 1 else (1, 1, 1)
+    dims = dims_create(nranks, 3)
     shape = settings.shape
     script = WriterScript(
         nranks=nranks,

@@ -30,20 +30,23 @@ order, before anything executes. The checker runs two analyses:
    virtual-SPMD rank program.
 
 :func:`halo_exchange_plan` builds the plan of the built-in Cartesian
-ghost exchange (:mod:`repro.core.exchange`) from ``dims``/``periods``
-alone, using the same rank ordering as :class:`repro.mpi.cart.CartComm`
-and the same tag map as the runtime exchange — so ``grayscott lint``
-verifies the actual production plan, not a copy of it.
+ghost exchange from ``dims``/``periods`` alone: each rank's program is
+the schedule :func:`repro.core.exchange.halo_schedule` returns, over
+the rank layout of :func:`repro.mpi.cart.cart_shift` — the same list
+the solver executes, so ``grayscott lint`` verifies the actual
+production plan, not a copy of it.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import partial
 
-from repro.core.exchange import _face_tag
+from repro.core.exchange import MODES, halo_schedule
 from repro.lint import diagnostics as D
 from repro.lint.diagnostics import LintReport
+from repro.mpi.cart import cart_shift
 from repro.mpi.comm import ANY_SOURCE, ANY_TAG, PROC_NULL
 from repro.util.errors import LintError
 
@@ -123,39 +126,7 @@ class CommPlan:
         return [op for op in self.ops if op.rank == rank]
 
 
-# -- Cartesian helpers (mirror repro.mpi.cart's row-major convention) -------
-
-
-def _cart_coords(rank: int, dims: tuple[int, ...]) -> tuple[int, ...]:
-    out = []
-    for dim in reversed(dims):
-        out.append(rank % dim)
-        rank //= dim
-    return tuple(reversed(out))
-
-
-def _cart_rank(coords, dims, periods) -> int:
-    coords = list(coords)
-    for axis, (c, dim, periodic) in enumerate(zip(coords, dims, periods)):
-        if 0 <= c < dim:
-            continue
-        if not periodic:
-            return PROC_NULL
-        coords[axis] = c % dim
-    rank = 0
-    for c, dim in zip(coords, dims):
-        rank = rank * dim + c
-    return rank
-
-
-def cart_shift(rank, dims, periods, axis, disp=1) -> tuple[int, int]:
-    """(source, dest) of ``MPI_Cart_shift`` without a communicator."""
-    here = _cart_coords(rank, dims)
-    up = list(here)
-    up[axis] += disp
-    down = list(here)
-    down[axis] -= disp
-    return _cart_rank(down, dims, periods), _cart_rank(up, dims, periods)
+# -- the production plan ----------------------------------------------------
 
 
 def halo_exchange_plan(
@@ -166,10 +137,11 @@ def halo_exchange_plan(
 ) -> CommPlan:
     """The static plan of the built-in ghost exchange.
 
-    ``mode="sequential"`` mirrors :func:`~repro.core.exchange.
-    exchange_ghosts` (blocking, buffered, axis-by-axis);
-    ``mode="overlapped"`` mirrors :func:`~repro.core.exchange.
-    exchange_ghosts_nonblocking` (post all receives, then all sends).
+    Every rank's program is :func:`~repro.core.exchange.halo_schedule`
+    — the list :func:`~repro.core.exchange.exchange_ghosts` executes —
+    over :func:`~repro.mpi.cart.cart_shift`. Sends are buffered (eager);
+    the ``wait`` ops of the overlapped mode complete receives already
+    in the plan and add nothing to it.
     """
     dims = tuple(int(d) for d in dims)
     if not dims or any(d <= 0 for d in dims):
@@ -177,30 +149,15 @@ def halo_exchange_plan(
     periods = tuple(bool(p) for p in (periods or (True,) * len(dims)))
     if len(periods) != len(dims):
         raise LintError(f"periods {periods} do not match dims {dims}")
-    if mode not in ("sequential", "overlapped"):
+    if mode not in MODES:
         raise LintError(f"exchange mode must be sequential|overlapped, got {mode!r}")
-    nranks = math.prod(dims)
-    plan = CommPlan(nranks)
-    blocking = mode == "sequential"
-    for rank in range(nranks):
-        if not blocking:
-            for axis in range(len(dims)):
-                source_down, dest_up = cart_shift(rank, dims, periods, axis)
-                plan.recv(rank, source_down, _face_tag(axis, +1),
-                          blocking=False, where=f"axis{axis}/-1")
-                plan.recv(rank, dest_up, _face_tag(axis, -1),
-                          blocking=False, where=f"axis{axis}/+1")
-        for axis in range(len(dims)):
-            source_down, dest_up = cart_shift(rank, dims, periods, axis)
-            plan.send(rank, dest_up, _face_tag(axis, +1),
-                      blocking=blocking, where=f"axis{axis}/+1")
-            plan.send(rank, source_down, _face_tag(axis, -1),
-                      blocking=blocking, where=f"axis{axis}/-1")
-            if blocking:
-                plan.recv(rank, source_down, _face_tag(axis, +1),
-                          where=f"axis{axis}/-1")
-                plan.recv(rank, dest_up, _face_tag(axis, -1),
-                          where=f"axis{axis}/+1")
+    plan = CommPlan(math.prod(dims))
+    for rank in range(plan.nranks):
+        shift = partial(cart_shift, rank, dims, periods)
+        for op in halo_schedule(shift, len(dims), mode):
+            if op.kind != "wait":
+                plan.add(PlanOp(op.kind, rank, op.peer, op.tag, blocking=op.blocking,
+                                where=f"axis{op.axis}/{op.side:+d}"))
     return plan
 
 

@@ -28,6 +28,7 @@ from repro.lint.adiosproto import check_writer_script, writer_script_for
 from repro.lint.diagnostics import LintReport, check_rule_ids
 from repro.lint.kernels import check_occupancy, lint_kernel
 from repro.lint.mpiplan import check_plan, halo_exchange_plan
+from repro.mpi.cart import dims_create
 from repro.observe import trace as observe
 
 #: per-axis size of the scratch arrays kernels are traced over; any
@@ -127,13 +128,7 @@ def lint_workflow(settings, *, rules=None, passes=None) -> LintReport:
         # a GPU backend was selected: check its codegen's CU occupancy
         check_occupancy(settings.backend, report=report)
 
-    nranks = max(int(settings.ranks), 1)
-    if nranks > 1:
-        from repro.mpi.cart import dims_create
-
-        dims = dims_create(nranks, 3)
-    else:
-        dims = (1, 1, 1)
+    dims = dims_create(max(int(settings.ranks), 1), 3)
     periodic = settings.boundary == "periodic"
     plan = halo_exchange_plan(
         dims, periods=(periodic,) * 3, mode=settings.exchange

@@ -65,6 +65,46 @@ def dims_create(nnodes: int, ndims: int, dims=None) -> tuple[int, ...]:
     return tuple(dims)
 
 
+def cart_coords(rank: int, dims) -> tuple[int, ...]:
+    """Row-major Cartesian coordinates of ``rank`` (last axis fastest)."""
+    out = []
+    for dim in reversed(dims):
+        out.append(rank % dim)
+        rank //= dim
+    return tuple(reversed(out))
+
+
+def cart_rank(coords, dims, periods) -> int:
+    """Rank at ``coords``; periodic wrap where allowed.
+
+    Returns PROC_NULL for out-of-range coordinates on non-periodic
+    dimensions (MPI would error; PROC_NULL composes better with
+    shift-based exchange loops).
+    """
+    rank = 0
+    for c, dim, periodic in zip(coords, dims, periods):
+        if not 0 <= c < dim:
+            if not periodic:
+                return PROC_NULL
+            c %= dim
+        rank = rank * dim + c
+    return rank
+
+
+def cart_shift(rank: int, dims, periods, axis: int, disp: int = 1) -> tuple[int, int]:
+    """(source, dest) of ``MPI_Cart_shift`` without a communicator.
+
+    ``dest`` is the rank ``disp`` steps up ``axis``, ``source`` the rank
+    the same distance down; PROC_NULL past non-periodic boundaries.
+    """
+    here = cart_coords(rank, dims)
+    up = list(here)
+    up[axis] += disp
+    down = list(here)
+    down[axis] -= disp
+    return cart_rank(down, dims, periods), cart_rank(up, dims, periods)
+
+
 class CartComm(Comm):
     """A communicator with an attached Cartesian topology."""
 
@@ -96,50 +136,21 @@ class CartComm(Comm):
         rank = self.rank if rank is None else rank
         if not 0 <= rank < self.size:
             raise MPIError(f"rank {rank} outside communicator of size {self.size}")
-        out = []
-        for dim in reversed(self.dims):
-            out.append(rank % dim)
-            rank //= dim
-        return tuple(reversed(out))
+        return cart_coords(rank, self.dims)
 
     def rank_of(self, coords) -> int:
-        """Rank at Cartesian ``coords``; periodic wrap where allowed.
-
-        Returns PROC_NULL for out-of-range coordinates on non-periodic
-        dimensions (MPI would error; PROC_NULL composes better with
-        shift-based exchange loops).
-        """
-        coords = list(coords)
+        """Rank at Cartesian ``coords`` (see :func:`cart_rank`)."""
         if len(coords) != self.ndims:
-            raise MPIError(f"coords {coords} have wrong dimensionality")
-        for axis, (c, dim, periodic) in enumerate(zip(coords, self.dims, self.periods)):
-            if 0 <= c < dim:
-                continue
-            if not periodic:
-                return PROC_NULL
-            coords[axis] = c % dim
-        rank = 0
-        for c, dim in zip(coords, self.dims):
-            rank = rank * dim + c
-        return rank
+            raise MPIError(f"coords {list(coords)} have wrong dimensionality")
+        return cart_rank(coords, self.dims, self.periods)
 
     def shift(self, direction: int, disp: int = 1) -> tuple[int, int]:
-        """(source, dest) for a shift along ``direction`` (MPI_Cart_shift).
-
-        ``dest`` is the rank ``disp`` steps up this dimension, ``source``
-        the rank the same distance down; PROC_NULL past non-periodic
-        boundaries.
-        """
+        """(source, dest) for a shift along ``direction`` (see :func:`cart_shift`)."""
         if not 0 <= direction < self.ndims:
             raise MPIError(
                 f"shift direction {direction} outside {self.ndims} dimensions"
             )
-        here = list(self.coords())
-        up = list(here)
-        up[direction] += disp
-        down = list(here)
-        down[direction] -= disp
-        return self.rank_of(down), self.rank_of(up)
+        return cart_shift(self.rank, self.dims, self.periods, direction, disp)
 
     def neighbors(self) -> dict[tuple[int, int], int]:
         """All face neighbours: {(direction, ±1): rank-or-PROC_NULL}."""

@@ -435,12 +435,14 @@ def merge_shards(source) -> dict:
 
 
 def write_merged(source, out) -> Path:
-    """Merge shards and write the Chrome trace JSON; returns the path."""
-    target = Path(out)
-    # the exact serialization write_chrome_trace uses — byte-identity
-    # with the monolithic exporter depends on it
-    target.write_text(json.dumps(merge_shards(source), indent=1))
-    return target
+    """Merge shards and write the Chrome trace JSON; returns the path.
+
+    The monolithic exporter writes the replayed tracer, so the file is
+    byte-identical to the one the same run's retained tracer writes.
+    """
+    from repro.observe.export import write_chrome_trace
+
+    return write_chrome_trace(rebuild_tracer(source), out)
 
 
 #: above this many manifest spans, :func:`repro.observe.export.

@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from repro.core.domain import LocalDomain, serial_wrap_ghosts
-from repro.core.exchange import exchange_ghosts
+from repro.core.exchange import exchange_ghosts, halo_schedule
+from repro.mpi.comm import PROC_NULL
 from repro.mpi.executor import run_spmd
 
 
@@ -101,8 +102,6 @@ class TestNonblockingExchange:
     def test_faces_match_blocking_variant(self):
         """Face ghosts agree with the blocking exchange; the Gray-Scott
         stencil never reads the edge/corner ghosts where they differ."""
-        from repro.core.exchange import exchange_ghosts_nonblocking
-
         shape = (8, 8, 8)
         dims, nranks = (2, 2, 2), 8
         reference = _global_field(shape, seed=11)
@@ -116,7 +115,7 @@ class TestNonblockingExchange:
                 domain.interior(field)[...] = reference[domain.global_slices()]
             specs = domain.face_specs()
             exchange_ghosts(cart, blocking, specs)
-            exchange_ghosts_nonblocking(cart, overlapped, specs)
+            exchange_ghosts(cart, overlapped, specs, mode="overlapped")
             # compare face ghosts only (strip the 12 edges + 8 corners)
             m = blocking.shape
             same = True
@@ -133,7 +132,6 @@ class TestNonblockingExchange:
     def test_simulation_correct_with_nonblocking_faces(self):
         """A solver stepping with the overlapped exchange matches the
         serial solution bitwise (the kernel only reads face ghosts)."""
-        from repro.core.exchange import exchange_ghosts_nonblocking
         from repro.core.settings import GrayScottSettings
         from repro.core.simulation import Simulation
 
@@ -143,19 +141,98 @@ class TestNonblockingExchange:
         expected = serial.gather_global("u")
 
         def worker(comm):
-            sim = Simulation(settings, comm)
-
-            def overlapped_exchange():
-                if sim.device is not None:
-                    sim._record_face_staging("D2H")
-                exchange_ghosts_nonblocking(sim.cart, sim.u, sim.face_specs)
-                exchange_ghosts_nonblocking(sim.cart, sim.v, sim.face_specs)
-                if sim.device is not None:
-                    sim._record_face_staging("H2D")
-
-            sim.exchange = overlapped_exchange  # swap the strategy
+            sim = Simulation(settings.with_overrides(exchange="overlapped"), comm)
             sim.run(5)
             return sim.gather_global("u")
 
         got = run_spmd(worker, 8, timeout=120)[0]
         assert np.array_equal(expected, got)
+
+
+class TestScheduleMatchesLintPlan:
+    """The MPI calls the exchange makes are the plan ``grayscott lint``
+    checks: same peers, tags, blocking and order on every rank."""
+
+    @pytest.mark.parametrize("mode", ["sequential", "overlapped"])
+    @pytest.mark.parametrize("periodic", [True, False], ids=["periodic", "neumann"])
+    @pytest.mark.parametrize("dims", [(2, 2, 1), (2, 1, 1), (2, 2, 2)])
+    def test_runtime_calls_equal_plan(self, monkeypatch, dims, periodic, mode):
+        import math
+        import threading
+
+        from repro.lint import halo_exchange_plan
+        from repro.mpi.comm import Comm
+
+        nranks = math.prod(dims)
+        calls = {rank: [] for rank in range(nranks)}
+        inside = threading.local()  # send/recv call isend/irecv: log the outer call
+
+        def spy(name, kind, blocking):
+            real = getattr(Comm, name)
+
+            def wrapper(self, *args, **kwargs):
+                depth = getattr(inside, "depth", 0)
+                if depth == 0:  # the exchange passes (..., peer, tag) positionally
+                    calls[self.rank].append((kind, *args[-2:], blocking))
+                inside.depth = depth + 1
+                try:
+                    return real(self, *args, **kwargs)
+                finally:
+                    inside.depth = depth
+
+            return wrapper
+
+        monkeypatch.setattr(Comm, "send", spy("send", "send", True))
+        monkeypatch.setattr(Comm, "isend", spy("isend", "send", False))
+        monkeypatch.setattr(Comm, "recv", spy("recv", "recv", True))
+        monkeypatch.setattr(Comm, "irecv", spy("irecv", "recv", False))
+
+        shape = (8, 8, 8)
+        periods = (periodic,) * 3
+
+        def worker(comm):
+            cart = comm.create_cart(dims, periods=periods)
+            domain = LocalDomain.for_coords(shape, dims, cart.coords())
+            field = domain.allocate_field()
+            exchange_ghosts(cart, field, domain.face_specs(), mode=mode)
+
+        run_spmd(worker, nranks, timeout=60)
+        plan = halo_exchange_plan(dims, periods, mode=mode)
+        for rank in range(nranks):
+            expected = [
+                (op.kind, op.peer, op.tag, op.blocking) for op in plan.program(rank)
+            ]
+            assert calls[rank] == expected, rank
+
+
+class TestHaloSchedule:
+    @staticmethod
+    def _shift(axis):
+        return 10 + axis, 20 + axis  # (source below, dest above)
+
+    def test_sequential_order(self):
+        ops = halo_schedule(self._shift, 1, "sequential")
+        assert [(op.kind, op.side, op.peer, op.tag, op.blocking) for op in ops] == [
+            ("send", +1, 20, 101, True),
+            ("send", -1, 10, 100, True),
+            ("recv", -1, 10, 101, True),
+            ("recv", +1, 20, 100, True),
+        ]
+
+    def test_overlapped_order(self):
+        ops = halo_schedule(self._shift, 2, "overlapped")
+        assert [(op.kind, op.axis, op.side) for op in ops] == [
+            ("recv", 0, -1), ("recv", 0, +1), ("recv", 1, -1), ("recv", 1, +1),
+            ("send", 0, +1), ("send", 0, -1), ("send", 1, +1), ("send", 1, -1),
+            ("wait", 0, -1), ("wait", 0, +1), ("wait", 1, -1), ("wait", 1, +1),
+        ]
+        assert not any(op.blocking for op in ops if op.kind != "wait")
+
+    @pytest.mark.parametrize("mode", ["sequential", "overlapped"])
+    def test_proc_null_peers_dropped(self, mode):
+        ops = halo_schedule(lambda axis: (PROC_NULL, 1), 3, mode)
+        assert ops and all(op.peer == 1 and op.side == +1 for op in ops)
+
+    def test_unknown_mode_rejected(self):
+        with pytest.raises(ValueError, match="mode"):
+            halo_schedule(self._shift, 3, "eager")

@@ -32,6 +32,12 @@ class TestGrayScottParams:
         with pytest.raises(ConfigError):
             GrayScottParams(**kwargs)
 
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+    @pytest.mark.parametrize("name", ["Du", "Dv", "F", "k", "dt", "noise"])
+    def test_non_finite_rejected(self, name, value):
+        with pytest.raises(ConfigError, match=f"{name} must be finite"):
+            GrayScottParams(**{name: value})
+
     def test_stability_limit(self):
         with pytest.raises(ConfigError, match="unstable"):
             GrayScottParams(Du=0.5, dt=2.5)
@@ -54,6 +60,12 @@ class TestPearsonRegimes:
         p = regime_params("beta", noise=0.0)
         assert p.noise == 0.0
         assert p.F == PEARSON_REGIMES["beta"][0]
+
+    @pytest.mark.parametrize("overrides", [{"F": float("inf")}, {"Du": float("nan")}])
+    def test_regime_non_finite_override_rejected(self, overrides):
+        (name,) = overrides
+        with pytest.raises(ConfigError, match=f"{name} must be finite"):
+            regime_params("alpha", **overrides)
 
     def test_unknown_regime(self):
         with pytest.raises(ConfigError):

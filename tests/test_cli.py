@@ -35,6 +35,13 @@ class TestCliRun:
         assert main(["run", str(path)]) == 1
         assert "noise must be finite" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("field,value", [("Du", "NaN"), ("F", "Infinity")])
+    def test_run_non_finite_params_file_exits_1(self, tmp_path, capsys, field, value):
+        path = tmp_path / "bad.json"
+        path.write_text(f'{{"L": 8, "steps": 2, "{field}": {value}}}')
+        assert main(["run", str(path)]) == 1
+        assert f"{field} must be finite" in capsys.readouterr().err
+
 
 class TestCliAnalyze:
     def test_analyze_dataset(self, settings_file, tmp_path, capsys):
@@ -390,6 +397,24 @@ class TestCliVirtual:
             outs.append(capsys.readouterr().out)
         assert outs[0] == outs[1]
         assert "virtual SPMD run: 8 ranks" in outs[0]
+
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    @pytest.mark.parametrize("flag", ["--nic-contention", "--sim-profile"])
+    def test_serial_only_inputs_report_ignored_jobs(self, tmp_path, capsys, flag, jobs):
+        path = self._gpu_settings(tmp_path)
+        extra = [str(tmp_path / "p.folded")] if flag == "--sim-profile" else []
+        assert main([
+            "run", str(path), "--virtual-ranks", "8", flag, *extra, "--jobs", jobs,
+        ]) == 0
+        reason = {
+            "--nic-contention": "--nic-contention couples the ranks of a node",
+            "--sim-profile": "--sim-profile samples one engine",
+        }[flag]
+        expected = (
+            f"grayscott: {reason}; running serially (--jobs ignored)\n"
+            if jobs != "1" else ""
+        )
+        assert capsys.readouterr().err == expected
 
 
 class TestCliStreaming:
